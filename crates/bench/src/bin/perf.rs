@@ -1,27 +1,14 @@
 //! `fascia-perf` — run the pinned perf suite and diff perf documents.
 //!
 //! ```text
-//! perf run [--out FILE] [--reps N] [--warmup N] [--smoke] [--filter S] [--kernel K] [--quiet]
-//! perf ab  [--reps N] [--warmup N] [--smoke] [--filter S] [--min RATIO]
-//!          [--out-scalar FILE] [--out-vector FILE] [--quiet]
+//! perf run [--out FILE] [--reps N] [--warmup N] [--smoke] [--filter S] [--quiet]
 //! perf compare OLD NEW [--threshold R] [--alpha A]
-//! perf speedup OLD NEW [--min RATIO]
 //! ```
 //!
 //! `run` writes a `fascia-perf/1` document (default
 //! `BENCH_<ISO-date>.json` in the current directory) via `atomic_write`.
 //! `compare` prints a per-benchmark table and exits non-zero when any
 //! benchmark regressed — the contract `scripts/ci.sh` gates on.
-//! `speedup` is the inverse gate for A/B runs (e.g. `--kernel scalar` vs
-//! `--kernel vectorized` documents): it prints `old/new` median speedups
-//! per benchmark and exits non-zero when any falls below `--min`
-//! (ratio-only — no significance test, suited to 1-rep smoke documents).
-//! `ab` is the *paired* kernel comparison: each suite cell runs both
-//! kernels with repetitions interleaved in one process (alternating
-//! order), which cancels the machine drift that corrupts two separate
-//! `run` invocations; it prints per-cell speedups with Mann–Whitney
-//! evidence, optionally writes both documents, and exits non-zero when
-//! any cell falls below `--min`.
 //!
 //! Environment: `FASCIA_PERF_SLEEP_MS=<ms>` injects a synthetic sleep
 //! into every DP step of `run` (via `FaultInjection::sleep_in_dp`),
@@ -32,8 +19,8 @@
 //! 2 usage error, 3 I/O error.
 
 use fascia_bench::perf::{
-    ab_docs, any_regression, compare, iso_date_utc, render_ab, render_comparisons, run_ab,
-    run_suite, PerfDoc, SuiteOpts, DEFAULT_ALPHA,
+    any_regression, compare, iso_date_utc, render_comparisons, run_suite, PerfDoc, SuiteOpts,
+    DEFAULT_ALPHA,
 };
 use fascia_core::atomic_write;
 use std::path::PathBuf;
@@ -46,19 +33,15 @@ const EXIT_USAGE: u8 = 2;
 const EXIT_IO: u8 = 3;
 
 const USAGE: &str = "usage:
-  perf run [--out FILE] [--reps N] [--warmup N] [--smoke] [--filter SUBSTR] [--kernel scalar|vectorized] [--quiet]
-  perf ab [--reps N] [--warmup N] [--smoke] [--filter SUBSTR] [--min RATIO] [--out-scalar FILE] [--out-vector FILE] [--quiet]
+  perf run [--out FILE] [--reps N] [--warmup N] [--smoke] [--filter SUBSTR] [--quiet]
   perf compare OLD.json NEW.json [--threshold RATIO] [--alpha P]
-  perf speedup OLD.json NEW.json [--min RATIO]
   perf help";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("ab") => cmd_ab(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("speedup") => cmd_speedup(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             println!("{USAGE}");
             EXIT_OK
@@ -90,7 +73,6 @@ fn cmd_run(args: &[String]) -> u8 {
             "--reps" => parse_value("--reps", it.next()).map(|n| opts.reps = n),
             "--warmup" => parse_value("--warmup", it.next()).map(|n| opts.warmup = n),
             "--filter" => parse_value("--filter", it.next()).map(|f| opts.filter = Some(f)),
-            "--kernel" => parse_value("--kernel", it.next()).map(|k| opts.kernel = k),
             "--smoke" => {
                 opts.smoke = true;
                 Ok(())
@@ -136,98 +118,6 @@ fn cmd_run(args: &[String]) -> u8 {
             eprintln!("perf run: cannot write {}: {e}", path.display());
             EXIT_IO
         }
-    }
-}
-
-/// `perf ab`: the paired kernel comparison. Runs each suite cell with
-/// scalar and vectorized repetitions interleaved in this one process,
-/// prints the per-cell speedup table, and (with `--min R`) exits
-/// non-zero when any cell's median speedup falls below `R`.
-fn cmd_ab(args: &[String]) -> u8 {
-    let mut opts = SuiteOpts {
-        verbose: true,
-        ..SuiteOpts::default()
-    };
-    let mut min: Option<f64> = None;
-    let mut out_scalar: Option<PathBuf> = None;
-    let mut out_vector: Option<PathBuf> = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let r = match a.as_str() {
-            "--reps" => parse_value("--reps", it.next()).map(|n| opts.reps = n),
-            "--warmup" => parse_value("--warmup", it.next()).map(|n| opts.warmup = n),
-            "--filter" => parse_value("--filter", it.next()).map(|f| opts.filter = Some(f)),
-            "--min" => parse_value("--min", it.next()).map(|m| min = Some(m)),
-            "--out-scalar" => {
-                parse_value::<PathBuf>("--out-scalar", it.next()).map(|p| out_scalar = Some(p))
-            }
-            "--out-vector" => {
-                parse_value::<PathBuf>("--out-vector", it.next()).map(|p| out_vector = Some(p))
-            }
-            "--smoke" => {
-                opts.smoke = true;
-                Ok(())
-            }
-            "--quiet" => {
-                opts.verbose = false;
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = r {
-            eprintln!("perf ab: {e}\n{USAGE}");
-            return EXIT_USAGE;
-        }
-    }
-    if opts.reps == 0 {
-        eprintln!("perf ab: --reps must be at least 1");
-        return EXIT_USAGE;
-    }
-    if let Some(m) = min {
-        if m.is_nan() || m <= 0.0 {
-            eprintln!("perf ab: --min must be positive");
-            return EXIT_USAGE;
-        }
-    }
-    if let Ok(ms) = std::env::var("FASCIA_PERF_SLEEP_MS") {
-        match ms.parse::<u64>() {
-            Ok(ms) => opts.handicap = Some(Duration::from_millis(ms)),
-            Err(_) => {
-                eprintln!("perf ab: FASCIA_PERF_SLEEP_MS must be an integer");
-                return EXIT_USAGE;
-            }
-        }
-    }
-    let cells = run_ab(&opts);
-    if cells.is_empty() {
-        eprintln!("perf ab: no suite cells matched the filter");
-        return EXIT_USAGE;
-    }
-    print!("{}", render_ab(&cells, min));
-    let (scalar_doc, vector_doc) = ab_docs(&cells, opts.warmup as u64);
-    for (path, doc) in [(&out_scalar, &scalar_doc), (&out_vector, &vector_doc)] {
-        if let Some(path) = path {
-            if let Err(e) = atomic_write(path, &doc.to_json()) {
-                eprintln!("perf ab: cannot write {}: {e}", path.display());
-                return EXIT_IO;
-            }
-            eprintln!(
-                "[perf] wrote {} ({} benchmarks)",
-                path.display(),
-                doc.benchmarks.len()
-            );
-        }
-    }
-    match min {
-        Some(m) if cells.iter().any(|c| c.speedup() < m) => {
-            eprintln!("[perf] kernel speedup below {m:.2}x");
-            EXIT_REGRESSION
-        }
-        Some(m) => {
-            eprintln!("[perf] all {} cells at least {m:.2}x", cells.len());
-            EXIT_OK
-        }
-        None => EXIT_OK,
     }
 }
 
@@ -277,87 +167,6 @@ fn cmd_compare(args: &[String]) -> u8 {
         EXIT_REGRESSION
     } else {
         eprintln!("[perf] no significant regression");
-        EXIT_OK
-    }
-}
-
-/// `perf speedup OLD NEW --min R`: every benchmark present in both
-/// documents must be at least `R`× faster in NEW than OLD (by median,
-/// ratio-only). The kernel A/B gate in `scripts/ci.sh`.
-fn cmd_speedup(args: &[String]) -> u8 {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut min = 1.0f64;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let r = match a.as_str() {
-            "--min" => parse_value("--min", it.next()).map(|m| min = m),
-            other if other.starts_with("--") => Err(format!("unknown flag {other}")),
-            _ => {
-                paths.push(a);
-                Ok(())
-            }
-        };
-        if let Err(e) = r {
-            eprintln!("perf speedup: {e}\n{USAGE}");
-            return EXIT_USAGE;
-        }
-    }
-    let [old_path, new_path] = paths[..] else {
-        eprintln!("perf speedup: need exactly OLD and NEW paths\n{USAGE}");
-        return EXIT_USAGE;
-    };
-    if min.is_nan() || min <= 0.0 {
-        eprintln!("perf speedup: --min must be positive");
-        return EXIT_USAGE;
-    }
-    let load = |p: &str| -> Result<PerfDoc, (u8, String)> {
-        let text = std::fs::read_to_string(p).map_err(|e| (EXIT_IO, format!("{p}: {e}")))?;
-        PerfDoc::parse(&text).map_err(|e| (EXIT_USAGE, format!("{p}: {e}")))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err((c, e)), _) | (_, Err((c, e))) => {
-            eprintln!("perf speedup: {e}");
-            return c;
-        }
-    };
-    let mut compared = 0usize;
-    let mut failed = false;
-    println!(
-        "{:<36} {:>12} {:>12} {:>9}",
-        "benchmark", "old_ms", "new_ms", "speedup"
-    );
-    for (name, o) in &old.benchmarks {
-        let Some(n) = new.benchmarks.get(name) else {
-            continue;
-        };
-        let (old_med, new_med) = (o.median_s(), n.median_s());
-        let speedup = if new_med > 0.0 {
-            old_med / new_med
-        } else {
-            1.0
-        };
-        let ok = speedup >= min;
-        compared += 1;
-        failed |= !ok;
-        println!(
-            "{:<36} {:>12.3} {:>12.3} {:>8.2}x  {}",
-            name,
-            old_med * 1e3,
-            new_med * 1e3,
-            speedup,
-            if ok { "ok" } else { "BELOW MIN" }
-        );
-    }
-    if compared == 0 {
-        eprintln!("perf speedup: no common benchmarks between the documents");
-        return EXIT_USAGE;
-    }
-    if failed {
-        eprintln!("[perf] speedup below {min:.2}x");
-        EXIT_REGRESSION
-    } else {
-        eprintln!("[perf] all {compared} benchmarks at least {min:.2}x");
         EXIT_OK
     }
 }

@@ -46,7 +46,6 @@
 //! from producers that predate the field — the schema stays additive).
 
 use fascia_core::engine::{count_template, CountConfig};
-use fascia_core::kernel::KernelKind;
 use fascia_core::parallel::ParallelMode;
 use fascia_core::resilience::{FaultInjection, Json};
 use fascia_graph::gen::gnm;
@@ -754,11 +753,6 @@ pub struct SuiteOpts {
     pub handicap: Option<Duration>,
     /// Per-benchmark progress lines on stderr.
     pub verbose: bool,
-    /// Cut-node DP kernel every workload runs with (`--kernel` on the
-    /// binary) — the A/B axis of the kernel speedup gate. Not part of the
-    /// benchmark ids: a scalar document and a vectorized document compare
-    /// cell-for-cell.
-    pub kernel: KernelKind,
 }
 
 impl Default for SuiteOpts {
@@ -770,7 +764,6 @@ impl Default for SuiteOpts {
             filter: None,
             handicap: None,
             verbose: false,
-            kernel: KernelKind::Vectorized,
         }
     }
 }
@@ -799,7 +792,6 @@ pub fn run_suite(opts: &SuiteOpts) -> PerfDoc {
         let cfg = CountConfig {
             iterations: spec.scale.iterations(),
             table: spec.table,
-            kernel: opts.kernel,
             parallel: spec.mode,
             seed: 0x00FA_5C1A,
             fault: FaultInjection {
@@ -843,194 +835,6 @@ pub fn run_suite(opts: &SuiteOpts) -> PerfDoc {
     doc
 }
 
-// ---------------------------------------------------------------------------
-// Paired kernel A/B
-// ---------------------------------------------------------------------------
-
-/// One suite cell of [`run_ab`]: the same pinned workload timed under
-/// both DP kernels, with repetitions interleaved in a single process.
-#[derive(Debug, Clone)]
-pub struct AbCell {
-    /// Benchmark id (same scheme as [`default_suite`]).
-    pub id: String,
-    /// Timed scalar-kernel repetitions, in seconds, in execution order.
-    pub scalar_s: Vec<f64>,
-    /// Timed vectorized-kernel repetitions, in seconds, in execution order.
-    pub vector_s: Vec<f64>,
-    /// Peak live DP-table bytes observed under the scalar kernel.
-    pub scalar_peak_bytes: u64,
-    /// Peak live DP-table bytes observed under the vectorized kernel.
-    pub vector_peak_bytes: u64,
-}
-
-impl AbCell {
-    /// Median scalar-over-vectorized speedup (1.0 when degenerate).
-    pub fn speedup(&self) -> f64 {
-        let v = median(&self.vector_s);
-        if v > 0.0 {
-            median(&self.scalar_s) / v
-        } else {
-            1.0
-        }
-    }
-
-    /// One-sided Mann–Whitney p-value that the vectorized kernel is
-    /// *faster* (i.e. that scalar repetitions are stochastically
-    /// greater), when both sides have enough repetitions to test.
-    pub fn p_faster(&self) -> Option<f64> {
-        (self.scalar_s.len() >= 4 && self.vector_s.len() >= 4)
-            .then(|| mann_whitney(&self.vector_s, &self.scalar_s).p_greater)
-    }
-}
-
-/// Runs every filtered suite cell under **both** kernels, interleaving
-/// the timed repetitions (and alternating which kernel goes first each
-/// repetition) inside one process.
-///
-/// Pairing is what makes the ratio trustworthy on a noisy machine: both
-/// kernels sample the same load/frequency environment seconds apart, so
-/// drift that systematically biases two separate [`run_suite`]
-/// invocations minutes apart cancels out of the per-cell comparison.
-/// `opts.kernel` is ignored — both kernels always run.
-pub fn run_ab(opts: &SuiteOpts) -> Vec<AbCell> {
-    let template: Template = NamedTemplate::U5_2.template();
-    let mut graphs: Vec<(Scale, Graph)> = Vec::new();
-    let mut out = Vec::new();
-    for spec in default_suite(opts.smoke) {
-        if let Some(f) = &opts.filter {
-            if !spec.id.contains(f.as_str()) {
-                continue;
-            }
-        }
-        let g = match graphs.iter().find(|(s, _)| *s == spec.scale) {
-            Some((_, g)) => g,
-            None => {
-                graphs.push((spec.scale, spec.scale.graph()));
-                &graphs.last().unwrap().1
-            }
-        };
-        let cfg_for = |kernel: KernelKind| CountConfig {
-            iterations: spec.scale.iterations(),
-            table: spec.table,
-            kernel,
-            parallel: spec.mode,
-            seed: 0x00FA_5C1A,
-            fault: FaultInjection {
-                sleep_in_dp: opts.handicap,
-                ..FaultInjection::default()
-            },
-            ..CountConfig::default()
-        };
-        let cfgs = [cfg_for(KernelKind::Scalar), cfg_for(KernelKind::Vectorized)];
-        for cfg in &cfgs {
-            for _ in 0..opts.warmup {
-                let _ = count_template(g, &template, cfg).expect("suite workload must count");
-            }
-        }
-        let mut cell = AbCell {
-            id: spec.id.clone(),
-            scalar_s: Vec::with_capacity(opts.reps.max(1)),
-            vector_s: Vec::with_capacity(opts.reps.max(1)),
-            scalar_peak_bytes: 0,
-            vector_peak_bytes: 0,
-        };
-        for rep in 0..opts.reps.max(1) {
-            // Alternate which kernel goes first so monotone drift within
-            // the cell (thermal ramp, background load) biases neither side.
-            let order: [usize; 2] = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
-            for k in order {
-                let start = Instant::now();
-                let r = count_template(g, &template, &cfgs[k]).expect("suite workload must count");
-                let secs = start.elapsed().as_secs_f64();
-                // Keep the estimate alive so the count cannot be optimized out.
-                assert!(r.estimate.is_finite());
-                if k == 0 {
-                    cell.scalar_peak_bytes = cell.scalar_peak_bytes.max(r.peak_table_bytes as u64);
-                    cell.scalar_s.push(secs);
-                } else {
-                    cell.vector_peak_bytes = cell.vector_peak_bytes.max(r.peak_table_bytes as u64);
-                    cell.vector_s.push(secs);
-                }
-            }
-        }
-        if opts.verbose {
-            eprintln!(
-                "[perf] {:<36} scalar {:>9.3} ms  vectorized {:>9.3} ms  {:>5.2}x",
-                cell.id,
-                median(&cell.scalar_s) * 1e3,
-                median(&cell.vector_s) * 1e3,
-                cell.speedup()
-            );
-        }
-        out.push(cell);
-    }
-    out
-}
-
-/// Projects [`run_ab`] cells into two comparable perf documents —
-/// `(scalar, vectorized)` with identical benchmark ids — so one paired
-/// run also yields `compare`/`speedup`-compatible, archivable documents.
-pub fn ab_docs(cells: &[AbCell], warmup: u64) -> (PerfDoc, PerfDoc) {
-    let mut scalar = PerfDoc::new_now();
-    let mut vector = PerfDoc::new_now();
-    for c in cells {
-        scalar.benchmarks.insert(
-            c.id.clone(),
-            PerfRecord {
-                warmup,
-                threshold: DEFAULT_THRESHOLD,
-                peak_table_bytes: c.scalar_peak_bytes,
-                reps_s: c.scalar_s.clone(),
-            },
-        );
-        vector.benchmarks.insert(
-            c.id.clone(),
-            PerfRecord {
-                warmup,
-                threshold: DEFAULT_THRESHOLD,
-                peak_table_bytes: c.vector_peak_bytes,
-                reps_s: c.vector_s.clone(),
-            },
-        );
-    }
-    (scalar, vector)
-}
-
-/// Renders an A/B report as an aligned table. When `min` is set, cells
-/// with a median speedup below it are flagged `BELOW MIN` (ratio-only,
-/// like `perf speedup`); the p column reports the Mann–Whitney evidence
-/// that the vectorized kernel is genuinely faster when reps allow.
-pub fn render_ab(cells: &[AbCell], min: Option<f64>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<36} {:>12} {:>12} {:>9} {:>10}",
-        "benchmark", "scalar_ms", "vector_ms", "speedup", "p_faster"
-    );
-    for c in cells {
-        let p = c
-            .p_faster()
-            .map_or_else(|| "-".to_string(), |p| format!("{p:.4}"));
-        let verdict = match min {
-            Some(m) if c.speedup() < m => "BELOW MIN",
-            Some(_) => "ok",
-            None => "",
-        };
-        let _ = writeln!(
-            out,
-            "{:<36} {:>12.3} {:>12.3} {:>8.2}x {:>10}  {}",
-            c.id,
-            median(&c.scalar_s) * 1e3,
-            median(&c.vector_s) * 1e3,
-            c.speedup(),
-            p,
-            verdict
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1042,44 +846,6 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
         assert_eq!(mad(&[1.0, 2.0, 3.0]), 1.0);
         assert_eq!(mad(&[5.0, 5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn ab_cell_statistics() {
-        let cell = AbCell {
-            id: "count/serial/naive/small".into(),
-            scalar_s: vec![0.020, 0.021, 0.019, 0.022, 0.020],
-            vector_s: vec![0.010, 0.011, 0.010, 0.009, 0.010],
-            scalar_peak_bytes: 100,
-            vector_peak_bytes: 90,
-        };
-        assert!((cell.speedup() - 2.0).abs() < 1e-9);
-        // Every scalar rep exceeds every vectorized rep: strong evidence.
-        assert!(cell.p_faster().expect("5 reps are testable") < 0.05);
-        let (s, v) = ab_docs(std::slice::from_ref(&cell), 1);
-        assert_eq!(s.benchmarks.len(), 1);
-        assert_eq!(
-            s.benchmarks[&cell.id].reps_s, cell.scalar_s,
-            "scalar doc carries the scalar reps"
-        );
-        assert_eq!(v.benchmarks[&cell.id].peak_table_bytes, 90);
-        let table = render_ab(std::slice::from_ref(&cell), Some(2.5));
-        assert!(table.contains("BELOW MIN"), "{table}");
-        let table = render_ab(&[cell], Some(1.5));
-        assert!(table.contains(" ok"), "{table}");
-    }
-
-    #[test]
-    fn ab_small_samples_are_untestable() {
-        let cell = AbCell {
-            id: "x".into(),
-            scalar_s: vec![0.02],
-            vector_s: vec![0.01],
-            scalar_peak_bytes: 0,
-            vector_peak_bytes: 0,
-        };
-        assert_eq!(cell.p_faster(), None);
-        assert!((cell.speedup() - 2.0).abs() < 1e-9);
     }
 
     #[test]

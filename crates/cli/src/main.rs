@@ -189,7 +189,7 @@ fn run(args: &[String]) -> Result<i32, CliError> {
 
 fn usage_text() -> String {
     "usage: fascia <count|exact|motifs|gdd|sample|distsim|serve|gen|info|report|templates|help> ...\n\
-     \x20 count  <dataset|file> <template> [--iters N] [--table naive|improved|hash] [--kernel scalar|vectorized] [--strategy one|balanced] [--parallel serial|inner|outer|auto] [--seed S] [--metrics off|pretty|json|prom] [adaptive flags] [resilience flags] [observability flags]\n\
+     \x20 count  <dataset|file> <template> [--iters N] [--table naive|improved|hash] [--strategy one|balanced] [--parallel serial|inner|outer|auto] [--seed S] [--metrics off|pretty|json|prom] [adaptive flags] [resilience flags] [observability flags]\n\
      \x20 exact  <dataset|file> <template>\n\
      \x20 motifs <dataset|file> <size> [--iters N]\n\
      \x20 gdd    <dataset|file> [--iters N]\n\
@@ -423,12 +423,6 @@ fn parse_flags(rest: &[String]) -> Result<(CountConfig, ObsFlags), CliError> {
                         return Err(CliError::Usage(format!("unknown table kind '{other}'")));
                     }
                 };
-                i += 2;
-            }
-            "--kernel" => {
-                cfg.kernel = flag_value(rest, i, "--kernel")?
-                    .parse()
-                    .map_err(CliError::Usage)?;
                 i += 2;
             }
             "--strategy" => {

@@ -5,25 +5,22 @@
 //! The dynamic program is the undirected one with a single change: when a
 //! cut separates subtemplate root `r` from passive root `u'`, the neighbor
 //! sum at graph vertex `v` walks `v`'s **out**-neighbors if the template
-//! arc points `r -> u'` and its **in**-neighbors otherwise. Colorfulness,
-//! scaling (`1 / (P · α)` with the *directed* automorphism count), and
-//! table handling are unchanged.
+//! arc points `r -> u'` and its **in**-neighbors otherwise. So
+//! [`count_directed`] is a set-up over the engine's shared iteration
+//! driver: the batched kernel reads one of the two arc lists per cut node,
+//! and everything else — colorfulness, table layouts and memory budgets,
+//! parallel modes, stop rules, cancellation, checkpoints and observers —
+//! is the undirected engine's. Only the scaling differs, using the
+//! *directed* automorphism count (`1 / (P · α)`).
 //!
 //! Canonical table sharing is disabled ([`PartitionTree::into_unshared`]):
 //! two subtrees that are automorphic undirected may carry different arc
 //! orientations, so their tables differ.
 
-use crate::coloring::{iteration_seed, random_coloring};
-use crate::engine::{CountConfig, CountError, CountResult};
-use crate::stats::{EstimateStats, StopRule, Welford};
-use fascia_combin::{colorful_probability, BinomialTable, ColorSetIter, SplitTable};
+use crate::engine::{drive, effective_colors, CountConfig, CountError, CountResult, Run, Source};
 use fascia_graph::digraph::DiGraph;
-use fascia_table::{CountTable, LazyTable, Rows};
 use fascia_template::directed::DiTemplate;
-use fascia_template::partition::NodeKind;
 use fascia_template::PartitionTree;
-use std::collections::HashMap;
-use std::time::Instant;
 
 /// Approximate count of non-induced occurrences of a directed tree
 /// template in a directed graph.
@@ -32,274 +29,18 @@ pub fn count_directed(
     t: &DiTemplate,
     cfg: &CountConfig,
 ) -> Result<CountResult, CountError> {
-    let rule = cfg.stop_rule();
-    match &rule {
-        StopRule::FixedIterations(0) => return Err(CountError::NoIterations),
-        r => r.validate().map_err(CountError::InvalidStopRule)?,
-    }
-    let k = cfg.colors.unwrap_or(t.size());
-    if k < t.size() {
-        return Err(CountError::NotEnoughColors {
-            colors: k,
-            template: t.size(),
-        });
-    }
-    if k > fascia_combin::MAX_COLORS {
-        return Err(CountError::TooManyColors(k));
-    }
+    let k = effective_colors(t.underlying(), cfg)?;
     let pt = PartitionTree::build(t.underlying(), cfg.strategy)?.into_unshared();
-    let ctx = DirCtx::new(&pt, k);
-    let alpha = t.automorphisms() as f64;
-    let p = colorful_probability(k, t.size());
-    let scale = p * alpha;
-    let n = g.num_vertices();
-    let start = Instant::now();
-    // Directed counting is serial, so the stop rule is checked after
-    // every iteration (no wave scheduling needed).
-    let budget = rule.budget();
-    let mut stream = Welford::new();
-    let mut per_iteration = Vec::new();
-    let mut peak_bytes = 0usize;
-    for iter in 0..budget as u64 {
-        let coloring = random_coloring(n, k, iteration_seed(cfg.seed, iter));
-        let (total, peak) = run_directed_iteration(g, t, &pt, &ctx, &coloring);
-        let est = total / scale;
-        per_iteration.push(est);
-        stream.push(est);
-        peak_bytes = peak_bytes.max(peak);
-        if rule.satisfied(&stream) {
-            break;
-        }
-    }
-    let elapsed = start.elapsed();
-    let stats = EstimateStats::from_series(&per_iteration);
-    let stop_cause = if per_iteration.len() < budget {
-        crate::resilience::StopCause::Converged
-    } else {
-        crate::resilience::StopCause::Completed
+    let run = Run {
+        src: Source::Directed(g, t),
+        labels: None,
+        t: t.underlying(),
+        pt: &pt,
+        k,
+        alpha: t.automorphisms(),
+        rooted: false,
     };
-    Ok(CountResult {
-        estimate: stats.mean,
-        iterations_run: per_iteration.len(),
-        std_error: stats.std_error,
-        ci95: stats.ci95_half_width,
-        per_iteration_time: elapsed / per_iteration.len() as u32,
-        per_iteration,
-        peak_table_bytes: peak_bytes,
-        elapsed,
-        automorphisms: alpha as u64,
-        colorful_probability: p,
-        stop_cause,
-        resumed_iterations: 0,
-    })
-}
-
-struct DirCtx {
-    k: usize,
-    nc: Vec<usize>,
-    splits: HashMap<(u8, u8), SplitTable>,
-    removals: HashMap<u8, Vec<i32>>,
-}
-
-impl DirCtx {
-    fn new(pt: &PartitionTree, k: usize) -> Self {
-        let binom = BinomialTable::new(fascia_combin::MAX_COLORS.max(k));
-        let nc: Vec<usize> = (0..=k).map(|h| binom.get(k, h) as usize).collect();
-        let mut splits = HashMap::new();
-        let mut removals: HashMap<u8, Vec<i32>> = HashMap::new();
-        for &idx in pt.unique_order() {
-            let node = &pt.nodes()[idx as usize];
-            if let NodeKind::Cut { active, .. } = node.kind {
-                let a = pt.nodes()[active as usize].size;
-                if a == 1 {
-                    removals
-                        .entry(node.size)
-                        .or_insert_with(|| build_removals(k, node.size as usize, &binom));
-                } else {
-                    splits.entry((node.size, a)).or_insert_with(|| {
-                        SplitTable::new(k, node.size as usize, a as usize, &binom)
-                    });
-                }
-            }
-        }
-        Self {
-            k,
-            nc,
-            splits,
-            removals,
-        }
-    }
-}
-
-fn build_removals(k: usize, h: usize, binom: &BinomialTable) -> Vec<i32> {
-    let nc = binom.get(k, h) as usize;
-    let mut rem = vec![-1i32; nc * k];
-    let mut sets = ColorSetIter::new(k, h);
-    let mut idx = 0usize;
-    let mut reduced: Vec<u8> = Vec::with_capacity(h - 1);
-    while let Some(set) = sets.next() {
-        for (pos, &c) in set.iter().enumerate() {
-            reduced.clear();
-            reduced.extend(
-                set.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != pos)
-                    .map(|(_, &x)| x),
-            );
-            rem[idx * k + c as usize] = fascia_combin::index_of_set(&reduced, binom) as i32;
-        }
-        idx += 1;
-    }
-    rem
-}
-
-enum DirStored {
-    Single,
-    Table(LazyTable),
-}
-
-fn run_directed_iteration(
-    g: &DiGraph,
-    t: &DiTemplate,
-    pt: &PartitionTree,
-    ctx: &DirCtx,
-    coloring: &[u8],
-) -> (f64, usize) {
-    let n = g.num_vertices();
-    let mut stored: Vec<Option<DirStored>> = Vec::new();
-    stored.resize_with(pt.num_canon_classes(), || None);
-    let mut uses = pt.class_use_counts();
-    let mut live = 0usize;
-    let mut peak = 0usize;
-
-    for &idx in pt.unique_order() {
-        let node = &pt.nodes()[idx as usize];
-        let cid = node.canon_id as usize;
-        match node.kind {
-            NodeKind::Vertex => {
-                stored[cid] = Some(DirStored::Single);
-            }
-            NodeKind::Triangle { .. } => {
-                unreachable!("directed templates are trees");
-            }
-            NodeKind::Cut { active, passive } => {
-                let a_node = &pt.nodes()[active as usize];
-                let p_node = &pt.nodes()[passive as usize];
-                let h = node.size as usize;
-                let a = a_node.size as usize;
-                let nc_h = ctx.nc[h];
-                let nc_p = ctx.nc[p_node.size as usize];
-                // Arc direction of the cut edge decides the neighbor list.
-                let outward = t.points_from(node.root, p_node.root);
-                let act = stored[a_node.canon_id as usize]
-                    .as_ref()
-                    .expect("active computed");
-                let pas = stored[p_node.canon_id as usize]
-                    .as_ref()
-                    .expect("passive computed");
-                let mut rows: Rows = Vec::new();
-                rows.resize_with(n, || None);
-                let mut pas_acc = vec![0.0f64; nc_p];
-                for (v, slot) in rows.iter_mut().enumerate() {
-                    // Active availability.
-                    let act_row: Option<&[f64]> = match act {
-                        DirStored::Single => None,
-                        DirStored::Table(tb) => {
-                            if !tb.vertex_active(v) {
-                                continue;
-                            }
-                            tb.row_slice(v)
-                        }
-                    };
-                    // Passive accumulation over the directed neighborhood.
-                    pas_acc.iter_mut().for_each(|x| *x = 0.0);
-                    let neigh = if outward {
-                        g.out_neighbors(v)
-                    } else {
-                        g.in_neighbors(v)
-                    };
-                    let mut any = false;
-                    match pas {
-                        DirStored::Single => {
-                            for &u in neigh {
-                                pas_acc[coloring[u as usize] as usize] += 1.0;
-                                any = true;
-                            }
-                        }
-                        DirStored::Table(tb) => {
-                            for &u in neigh {
-                                if let Some(rrow) = tb.row_slice(u as usize) {
-                                    for (acc, &x) in pas_acc.iter_mut().zip(rrow) {
-                                        *acc += x;
-                                    }
-                                    any = true;
-                                }
-                            }
-                        }
-                    }
-                    if !any {
-                        continue;
-                    }
-                    let mut row = vec![0.0f64; nc_h].into_boxed_slice();
-                    let mut nonzero = false;
-                    if a == 1 {
-                        let rem = &ctx.removals[&node.size];
-                        let cv = coloring[v] as usize;
-                        for (i, out) in row.iter_mut().enumerate() {
-                            let r = rem[i * ctx.k + cv];
-                            if r >= 0 {
-                                let val = pas_acc[r as usize];
-                                if val != 0.0 {
-                                    *out = val;
-                                    nonzero = true;
-                                }
-                            }
-                        }
-                    } else {
-                        let split = &ctx.splits[&(node.size, a_node.size)];
-                        let act_row = act_row.expect("multi-vertex active has a table row");
-                        for (i, out) in row.iter_mut().enumerate() {
-                            let mut acc = 0.0;
-                            for sp in split.splits(i) {
-                                let av = act_row[sp.active as usize];
-                                if av != 0.0 {
-                                    acc += av * pas_acc[sp.passive as usize];
-                                }
-                            }
-                            if acc != 0.0 {
-                                *out = acc;
-                                nonzero = true;
-                            }
-                        }
-                    }
-                    if nonzero {
-                        *slot = Some(row);
-                    }
-                }
-                let table = LazyTable::from_rows(n, nc_h, rows);
-                live += table.bytes();
-                peak = peak.max(live);
-                stored[cid] = Some(DirStored::Table(table));
-                for child_cid in [a_node.canon_id as usize, p_node.canon_id as usize] {
-                    uses[child_cid] -= 1;
-                    if uses[child_cid] == 0 && child_cid != cid {
-                        if let Some(DirStored::Table(old)) = stored[child_cid].take() {
-                            live -= old.bytes();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let total = match stored[pt.root().canon_id as usize]
-        .as_ref()
-        .expect("root computed")
-    {
-        DirStored::Single => n as f64,
-        DirStored::Table(tb) => tb.total(),
-    };
-    (total, peak)
+    Ok(drive(&run, cfg)?.0)
 }
 
 /// Exact count of directed non-induced occurrences by backtracking.

@@ -9,19 +9,19 @@
 //!
 //! Real MPI is out of scope for an offline workstation build, so this
 //! module simulates that execution faithfully enough to study it: ranks
-//! compute their owned rows with the exact same per-vertex kernels as the
-//! shared-memory engine (so the estimate is **bitwise identical** — the
+//! compute their owned rows with the shared-memory engine's batched cut
+//! kernel, restricted to each rank's owned vertices and committing into
+//! one shared row batch (so the estimate is **bitwise identical** — the
 //! tests assert it), while the simulator tallies the communication a real
 //! cluster would pay: ghost rows fetched per step, bytes on the wire, and
 //! the per-rank row-compute load balance.
 
 use crate::coloring::{iteration_seed, random_coloring};
-use crate::engine::{
-    cut_rows_for, effective_colors, triangle_rows_for, CountConfig, CountError, DpContext, Stored,
-};
+use crate::engine::{effective_colors, triangle_rows, CountConfig, CountError, DpContext, Stored};
+use crate::kernel::{cut_batch, CutJob};
 use fascia_combin::colorful_probability;
 use fascia_graph::Graph;
-use fascia_table::{CountTable, LazyTable, Rows};
+use fascia_table::{CountTable, LazyTable, RowBatch, TableKind};
 use fascia_template::automorphism::automorphisms;
 use fascia_template::partition::NodeKind;
 use fascia_template::{PartitionTree, Template};
@@ -117,7 +117,7 @@ pub fn count_distributed(
     }
     let k = effective_colors(t, &cfg.count)?;
     let pt = PartitionTree::build(t, cfg.count.strategy)?;
-    let ctx = DpContext::new(t, &pt, k);
+    let ctx = DpContext::new(&pt, k);
     let n = g.num_vertices();
     let owner = owners(n, cfg.ranks, cfg.scheme);
     // Owned vertex lists per rank.
@@ -129,6 +129,16 @@ pub fn count_distributed(
     let alpha = automorphisms(t) as f64;
     let p = colorful_probability(k, t.size());
     let scale = p * alpha;
+
+    // Remote neighbors of a rank's owned vertices: the ghosts it fetches.
+    let ghosts = |rank: usize, verts: &[u32]| -> HashSet<u32> {
+        verts
+            .iter()
+            .flat_map(|&v| g.neighbors(v as usize))
+            .copied()
+            .filter(|&u| owner[u as usize] as usize != rank)
+            .collect()
+    };
 
     let mut per_iteration = Vec::with_capacity(cfg.count.iterations);
     let mut ghost_rows = 0u64;
@@ -159,63 +169,34 @@ pub fn count_distributed(
                     // Triangles read the coloring plus two-hop adjacency;
                     // a real system replicates boundary adjacency, which we
                     // charge as one ghost "row" (flag-sized) per remote
-                    // neighbor of each owned vertex.
-                    let mut merged: Rows = Vec::new();
-                    merged.resize_with(n, || None);
+                    // neighbor of each owned vertex. A vertex's row does
+                    // not depend on which rank computes it, so one pass
+                    // serves every rank.
+                    let rows = triangle_rows(
+                        g, None, t, node, partners, &ctx, &coloring, false, None, None,
+                    );
                     for (rank, verts) in owned.iter().enumerate() {
-                        let rows = triangle_rows_for(
-                            g,
-                            None,
-                            t,
-                            node,
-                            partners,
-                            &ctx,
-                            &coloring,
-                            false,
-                            Some(verts),
-                            None,
-                            None,
-                        );
-                        let mut fetched: HashSet<u32> = HashSet::new();
-                        for &v in verts {
-                            for &u in g.neighbors(v as usize) {
-                                if owner[u as usize] as usize != rank {
-                                    fetched.insert(u);
-                                }
-                            }
-                        }
+                        let fetched = ghosts(rank, verts);
                         ghost_rows += fetched.len() as u64;
                         comm_bytes += fetched.len() as u64;
                         per_step_bytes[step] += fetched.len() as u64;
-                        merge_rows(&mut merged, rows, verts);
                         rank_rows[rank] += verts
                             .iter()
-                            .filter(|&&v| merged[v as usize].is_some())
+                            .filter(|&&v| rows[v as usize].is_some())
                             .count() as u64;
                     }
-                    stored[cid] = Some(Stored::Table(LazyTable::from_rows(n, ctx.nc[3], merged)));
+                    stored[cid] = Some(Stored::Table(LazyTable::from_rows(n, ctx.nc[3], rows)));
                 }
                 NodeKind::Cut { active, passive } => {
                     let a_node = &pt.nodes()[active as usize];
                     let p_node = &pt.nodes()[passive as usize];
                     let p_cid = p_node.canon_id as usize;
                     let row_bytes = (ctx.nc[p_node.size as usize] * 8) as u64;
-                    let mut merged: Rows = Vec::new();
-                    merged.resize_with(n, || None);
+                    let mut batch = RowBatch::new(n, ctx.nc[node.size as usize]);
                     for (rank, verts) in owned.iter().enumerate() {
                         // Ghost exchange: passive rows of remote neighbors.
-                        if matches!(stored[p_cid], Some(Stored::Table(_))) {
-                            let Some(Stored::Table(ptab)) = &stored[p_cid] else {
-                                unreachable!()
-                            };
-                            let mut fetched: HashSet<u32> = HashSet::new();
-                            for &v in verts {
-                                for &u in g.neighbors(v as usize) {
-                                    if owner[u as usize] as usize != rank {
-                                        fetched.insert(u);
-                                    }
-                                }
-                            }
+                        if let Some(Stored::Table(ptab)) = &stored[p_cid] {
+                            let fetched = ghosts(rank, verts);
                             ghost_rows += fetched.len() as u64;
                             for &u in &fetched {
                                 let bytes = if ptab.vertex_active(u as usize) {
@@ -227,34 +208,31 @@ pub fn count_distributed(
                                 per_step_bytes[step] += bytes;
                             }
                         }
-                        let rows = {
-                            let act = stored[a_node.canon_id as usize]
-                                .as_ref()
-                                .expect("active computed");
-                            let pas = stored[p_cid].as_ref().expect("passive computed");
-                            cut_rows_for(
-                                g,
-                                None,
-                                node,
-                                a_node,
-                                p_node,
-                                act,
-                                pas,
-                                &ctx,
-                                &coloring,
-                                false,
-                                Some(verts),
-                                None,
-                                None,
-                            )
+                        let act = stored[a_node.canon_id as usize]
+                            .as_ref()
+                            .expect("active computed");
+                        let pas = stored[p_cid].as_ref().expect("passive computed");
+                        let job = CutJob {
+                            labels: None,
+                            node,
+                            a_node,
+                            p_node,
+                            act,
+                            pas,
+                            ctx: &ctx,
+                            coloring: &coloring,
+                            inner_parallel: false,
+                            owned: Some(verts),
+                            cancel: None,
+                            cm: None,
                         };
-                        merge_rows(&mut merged, rows, verts);
+                        cut_batch(g, &job, &mut batch);
                         rank_rows[rank] += verts
                             .iter()
-                            .filter(|&&v| merged[v as usize].is_some())
+                            .filter(|&&v| batch.row(v as usize).is_some())
                             .count() as u64;
                     }
-                    let table = LazyTable::from_rows(n, ctx.nc[node.size as usize], merged);
+                    let table = LazyTable::from_batch_kind(TableKind::Lazy, batch);
                     stored[cid] = Some(Stored::Table(table));
                     for child_cid in [a_node.canon_id as usize, p_cid] {
                         uses[child_cid] -= 1;
@@ -289,13 +267,6 @@ pub fn count_distributed(
         max_rank_rows: rank_rows.iter().copied().max().unwrap_or(0),
         total_rows: rank_rows.iter().sum(),
     })
-}
-
-fn merge_rows(into: &mut Rows, from: Rows, verts: &[u32]) {
-    let mut from = from;
-    for &v in verts {
-        into[v as usize] = from[v as usize].take();
-    }
 }
 
 #[cfg(test)]

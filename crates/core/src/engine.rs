@@ -29,9 +29,9 @@
 use crate::chaos::{Chaos, IoSite};
 use crate::coloring::{iteration_seed, random_coloring};
 use crate::est::{EstCollector, EstIterStrata, RunEst};
-use crate::kernel::{cut_batch, KernelKind};
+use crate::kernel::{cut_batch, CutJob, InArcs, OutArcs};
 use crate::mem::{MemCollector, RunMem};
-use crate::metrics::{CutMetrics, RunMetrics, TriangleMetrics};
+use crate::metrics::{RunMetrics, TriangleMetrics};
 use crate::parallel::ParallelMode;
 use crate::profile::RunProf;
 use crate::progress::{Progress, ProgressSnapshot};
@@ -43,13 +43,16 @@ use crate::trace::RunTrace;
 use fascia_combin::{
     colorful_probability, BinomialTable, ColorSetIter, PositionSplitTable, SplitTable,
 };
+use fascia_graph::digraph::DiGraph;
 use fascia_graph::Graph;
 use fascia_obs::{Metrics, Profiler, SpanTimer, Tracer};
 use fascia_table::{
-    projected_bytes, AnyTable, CountTable, DenseTable, HashCountTable, LazyTable, Rows, TableKind,
+    projected_bytes, AnyTable, CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, Rows,
+    TableKind,
 };
 use fascia_template::automorphism::{automorphisms, rooted_automorphisms};
 use fascia_template::canon::full_mask;
+use fascia_template::directed::DiTemplate;
 use fascia_template::partition::{NodeKind, PartitionError, SubNode};
 use fascia_template::{PartitionStrategy, PartitionTree, Template};
 use rayon::prelude::*;
@@ -72,12 +75,6 @@ pub struct CountConfig {
     pub colors: Option<usize>,
     /// Dynamic-table layout.
     pub table: TableKind,
-    /// Cut-node DP kernel. Both kernels produce bitwise-identical counts
-    /// for a fixed seed (enforced by the differential test suite); the
-    /// vectorized default restructures the hot loop colorset-major for
-    /// contiguous reads and a flat multiply-accumulate — see
-    /// [`KernelKind`] and DESIGN.md §15.
-    pub kernel: KernelKind,
     /// Template partitioning heuristic.
     pub strategy: PartitionStrategy,
     /// Threading scheme.
@@ -123,7 +120,8 @@ pub struct CountConfig {
     /// [`CountError::BudgetExceeded`] instead of thrashing.
     pub memory_budget_bytes: Option<usize>,
     /// Write a [`Checkpoint`] file at wave barriers (and once more when
-    /// the run ends, however it ends), enabling `--resume`.
+    /// the run ends, however it ends), enabling `--resume`. Ignored by
+    /// [`rooted_counts`].
     pub checkpoint: Option<CheckpointConfig>,
     /// Optional flight recorder. When present the engine records the run's
     /// *timeline* — per-iteration and per-wave spans, per-subtemplate DP
@@ -149,14 +147,17 @@ pub struct CountConfig {
     /// Optional live-progress reporter, driven at wave barriers with the
     /// iteration count, running estimate, and (for adaptive rules) the
     /// current relative CI half-width. Used by the CLI for the stderr
-    /// progress line and the `--heartbeat` status file. Ignored by
-    /// [`rooted_counts`] (which traces, but reports no scalar progress).
+    /// progress line and the `--heartbeat` status file. For
+    /// [`rooted_counts`] the running estimate is the scaled per-iteration
+    /// total over all vertices.
     pub progress: Option<Arc<Progress>>,
     /// Resume from a previously saved checkpoint: its per-iteration series
     /// seeds the estimator and the run continues at the next iteration
     /// index. The checkpoint's fingerprint (seed, colors, template size,
     /// graph shape, stop rule) must match this run or the engine returns
-    /// [`CountError::ResumeMismatch`]. Ignored by [`rooted_counts`].
+    /// [`CountError::ResumeMismatch`]. Ignored by [`rooted_counts`], like
+    /// [`CountConfig::checkpoint`]: the checkpoint format stores the scalar
+    /// series only.
     pub resume: Option<Checkpoint>,
     /// Deterministic fault hooks for tests; the default injects nothing.
     pub fault: FaultInjection,
@@ -166,8 +167,9 @@ pub struct CountConfig {
     /// injected checkpoint-write IO errors, DP stalls, and memory-budget
     /// squeezes. All decisions are pure functions of the schedule seed
     /// and fault coordinates, so a replay with the same spec and job
-    /// order reproduces the identical event sequence. Ignored by
-    /// [`rooted_counts`] (chaos targets the end-to-end counting path).
+    /// order reproduces the identical event sequence. Every entry point
+    /// that runs the shared iteration driver ([`count_template`],
+    /// [`rooted_counts`], [`crate::directed::count_directed`]) honors it.
     pub chaos: Option<Arc<Chaos>>,
     /// Optional memory-observability collector. When present the engine
     /// attributes allocator traffic to the shared phase taxonomy (effective
@@ -187,7 +189,8 @@ pub struct CountConfig {
     /// Purely observational — the stratum capture only re-reads the root
     /// table and the ledger is fed at wave barriers, so counting results
     /// are bitwise identical with it absent or attached. `None` costs one
-    /// pointer check per site. Ignored by [`rooted_counts`].
+    /// pointer check per site. A [`rooted_counts`] run records its
+    /// per-iteration totals over all vertices.
     pub est: Option<Arc<EstCollector>>,
 }
 
@@ -233,7 +236,6 @@ impl Default for CountConfig {
             iterations: 10,
             colors: None,
             table: TableKind::Lazy,
-            kernel: KernelKind::Vectorized,
             strategy: PartitionStrategy::OneAtATime,
             parallel: ParallelMode::Auto,
             seed: 0x00FA_5C1A,
@@ -427,6 +429,13 @@ pub fn count_template_labeled(
 /// Per-vertex rooted counts: the estimated number of occurrences in which
 /// each graph vertex plays the role of template vertex `orbit` (graphlet
 /// degrees, §V-F).
+///
+/// Runs the same iteration driver as [`count_template`], with the tree
+/// rooted at `orbit`, the rooted automorphism count in the scaling, and
+/// each iteration's root-table row sums folded into one running
+/// per-vertex accumulator. The stop rule streams each iteration's total
+/// (Σ row sums, scaled). Checkpoints and resume do not apply: the
+/// checkpoint format stores the scalar series only.
 pub fn rooted_counts(
     g: &Graph,
     t: &Template,
@@ -438,197 +447,21 @@ pub fn rooted_counts(
     }
     let k = effective_colors(t, cfg)?;
     let pt = PartitionTree::build_with_root(t, orbit, cfg.strategy)?;
-    let ctx = DpContext::new(t, &pt, k);
-    let rm = RunMetrics::resolve(cfg.metrics.as_deref(), &pt);
-    let tr = RunTrace::resolve(cfg.tracer.as_ref(), &pt);
-    let pr = RunProf::resolve(cfg.profiler.as_ref(), &pt);
-    let mm = RunMem::resolve(cfg.mem.as_ref(), &pt);
-    let start = Instant::now();
-    let rule = cfg.stop_rule();
-    let budget = rule.budget().max(1);
-    let alpha_rooted = rooted_automorphisms(t, orbit, full_mask(t.size()));
-    let p = colorful_probability(k, t.size());
-    let scale = p * alpha_rooted as f64;
-
-    let fault = cfg.fault;
-    let cancel: Option<CancelToken> = cfg
-        .cancel
-        .clone()
-        .or_else(|| fault.cancel_on_iteration.map(|_| CancelToken::new()));
-    let mode = cfg.parallel.resolve(g.num_vertices(), budget);
-    let check_interval = match mode {
-        ParallelMode::OuterLoop | ParallelMode::Hybrid => rayon::current_num_threads().max(1),
-        _ => 1,
+    let run = Run {
+        src: Source::Undirected(g),
+        labels: None,
+        t,
+        pt: &pt,
+        k,
+        alpha: rooted_automorphisms(t, orbit, full_mask(t.size())),
+        rooted: true,
     };
-    let gate = cfg.memory_budget_bytes.map(|limit| BudgetGate {
-        limit: limit / check_interval.max(1),
-        preferred: cfg.table,
-    });
-
-    let run_attempt = |i: usize, inner: bool, seed: u64| -> Result<Vec<f64>, CountError> {
-        let iter_span = SpanTimer::start_opt(rm.as_ref().map(|m| &*m.iteration_ns));
-        let iter_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.iteration, i as u64);
-        let iter_ph = RunProf::enter_opt(pr.as_ref(), |p| p.iteration);
-        let iter_mph = RunMem::enter_opt(mm.as_ref(), |m| m.iteration);
-        let col_span = SpanTimer::start_opt(rm.as_ref().map(|m| &*m.coloring_ns));
-        let col_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.coloring, i as u64);
-        let col_ph = RunProf::enter_opt(pr.as_ref(), |p| p.coloring);
-        let col_mph = RunMem::enter_opt(mm.as_ref(), |m| m.coloring);
-        let coloring = random_coloring(g.num_vertices(), k, iteration_seed(seed, i as u64));
-        drop(col_mph);
-        drop(col_ph);
-        drop(col_tspan);
-        drop(col_span);
-        let out = dispatch_iteration(
-            g,
-            None,
-            t,
-            &pt,
-            &ctx,
-            &coloring,
-            inner,
-            cfg.kernel,
-            cfg.table,
-            gate.as_ref(),
-            cancel.as_ref(),
-            true,
-            fault,
-            rm.as_ref(),
-            tr.as_ref(),
-            pr.as_ref(),
-            mm.as_ref(),
-            None,
-        )?;
-        drop(iter_mph);
-        drop(iter_ph);
-        drop(iter_tspan);
-        drop(iter_span);
-        if let Some(m) = rm.as_ref() {
-            m.iterations_total.inc();
-            if out.colorful_total != 0.0 {
-                m.iterations_colorful.inc();
-            }
-            m.table.bytes_peak.set_max(out.peak_bytes as u64);
-        }
-        Ok(out.root_row_sums.expect("rooted run collects row sums"))
-    };
-    let run_one = |i: usize, inner: bool| -> Result<Vec<f64>, CountError> {
-        if let Some(tok) = &cancel {
-            if fault.cancel_on_iteration == Some(i) {
-                tok.cancel();
-            }
-            if tok.is_cancelled() {
-                return Err(CountError::Cancelled);
-            }
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            if fault.panic_on_iteration == Some(i) {
-                panic!("injected fault at iteration {i}");
-            }
-            run_attempt(i, inner, cfg.seed)
-        })) {
-            Ok(res) => res,
-            Err(_poison) => {
-                if let Some(m) = rm.as_ref() {
-                    m.iterations_poisoned.inc();
-                    m.iterations_retried.inc();
-                }
-                RunTrace::instant_opt(tr.as_ref(), |t| t.panic_retry, i as u64);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_attempt(i, inner, cfg.seed ^ RETRY_SEED_SALT)
-                })) {
-                    Ok(res) => res,
-                    Err(again) => resume_unwind(again),
-                }
-            }
-        }
-    };
-
-    // Wave schedule mirroring `count_impl`: the rooted convergence test
-    // streams the *total* rooted count of each iteration (Σ_v row-sum,
-    // scaled), since per-vertex convergence would be both noisy and
-    // O(n) per check. Checkpoint/resume does not apply here (the
-    // checkpoint format stores the scalar series only).
-    let resilient = cancel.is_some() || fault != FaultInjection::default();
-    let mut stream = Welford::new();
-    let mut sums: Vec<Vec<f64>> = Vec::new();
-    let mut cause = StopCause::Completed;
-    loop {
-        let done = sums.len();
-        if done >= budget {
-            break;
-        }
-        let target = if done == 0 && !resilient {
-            rule.min_iterations().clamp(1, budget)
-        } else {
-            (done + check_interval).min(budget)
-        };
-        let wave_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.wave, (target - done) as u64);
-        let wave_ph = RunProf::enter_opt(pr.as_ref(), |p| p.wave);
-        let wave: Vec<Result<Vec<f64>, CountError>> = match mode {
-            ParallelMode::OuterLoop => (done..target)
-                .into_par_iter()
-                .map(|i| run_one(i, false))
-                .collect(),
-            ParallelMode::Hybrid => (done..target)
-                .into_par_iter()
-                .map(|i| run_one(i, true))
-                .collect(),
-            ParallelMode::InnerLoop => (done..target).map(|i| run_one(i, true)).collect(),
-            _ => (done..target).map(|i| run_one(i, false)).collect(),
-        };
-        drop(wave_ph);
-        drop(wave_tspan);
-        let cancelled = cancel.as_ref().is_some_and(|c| c.is_cancelled())
-            || wave.iter().any(|r| matches!(r, Err(CountError::Cancelled)));
-        if cancelled {
-            cause = cancel
-                .as_ref()
-                .and_then(|c| c.cause())
-                .unwrap_or(StopCause::Cancelled);
-            RunTrace::instant_opt(tr.as_ref(), |t| t.cancelled, sums.len() as u64);
-            break;
-        }
-        for r in wave {
-            let s = r?;
-            stream.push(s.iter().sum::<f64>() / scale);
-            sums.push(s);
-        }
-        if rule.satisfied(&stream) {
-            if sums.len() < budget {
-                cause = StopCause::Converged;
-            }
-            break;
-        }
-        if sums.len() >= budget {
-            break;
-        }
-    }
-    if sums.is_empty() {
-        return Err(CountError::Cancelled);
-    }
-    let iters = sums.len();
-    if let Some(m) = rm.as_ref() {
-        if rule.is_adaptive() && !cause.is_partial() {
-            m.iterations_saved.add((budget - sums.len()) as u64);
-        }
-    }
-    let n = g.num_vertices();
-    let mut per_vertex = vec![0.0f64; n];
-    for s in &sums {
-        for (acc, &x) in per_vertex.iter_mut().zip(s) {
-            *acc += x;
-        }
-    }
-    let denom = scale * iters as f64;
-    for x in per_vertex.iter_mut() {
-        *x /= denom;
-    }
+    let (result, per_vertex) = drive(&run, cfg)?;
     Ok(RootedResult {
-        per_vertex,
-        scale,
-        elapsed: start.elapsed(),
-        stop_cause: cause,
+        per_vertex: per_vertex.expect("rooted runs accumulate per vertex"),
+        scale: result.colorful_probability * run.alpha as f64,
+        elapsed: result.elapsed,
+        stop_cause: result.stop_cause,
     })
 }
 
@@ -661,13 +494,98 @@ fn count_impl(
     }
     let k = effective_colors(t, cfg)?;
     let pt = PartitionTree::build(t, cfg.strategy)?;
-    let ctx = DpContext::new(t, &pt, k);
-    let rm = RunMetrics::resolve(cfg.metrics.as_deref(), &pt);
-    let tr = RunTrace::resolve(cfg.tracer.as_ref(), &pt);
-    let pr = RunProf::resolve(cfg.profiler.as_ref(), &pt);
-    let mm = RunMem::resolve(cfg.mem.as_ref(), &pt);
-    let es = RunEst::resolve(cfg.est.as_ref(), g);
-    let alpha = automorphisms(t);
+    let run = Run {
+        src: Source::Undirected(g),
+        labels,
+        t,
+        pt: &pt,
+        k,
+        alpha: automorphisms(t),
+        rooted: false,
+    };
+    Ok(drive(&run, cfg)?.0)
+}
+
+/// The graph a run counts in, and so the neighbor source of every cut
+/// node.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    Undirected(&'a Graph),
+    /// A directed graph: each cut walks out-arcs or in-arcs as the
+    /// template arc across it points.
+    Directed(&'a DiGraph, &'a DiTemplate),
+}
+
+impl Source<'_> {
+    fn num_vertices(&self) -> usize {
+        match self {
+            Source::Undirected(g) => g.num_vertices(),
+            Source::Directed(g, _) => g.num_vertices(),
+        }
+    }
+
+    /// Edge (arc) count, part of the checkpoint fingerprint.
+    fn num_edges(&self) -> usize {
+        match self {
+            Source::Undirected(g) => g.num_edges(),
+            Source::Directed(g, _) => g.num_arcs(),
+        }
+    }
+
+    /// Degree for the estimator's degree-class strata (in plus out for a
+    /// directed graph).
+    fn degree(&self, v: usize) -> usize {
+        match self {
+            Source::Undirected(g) => g.degree(v),
+            Source::Directed(g, _) => g.out_degree(v) + g.in_degree(v),
+        }
+    }
+}
+
+/// One counting run as an entry point sets it up: what to count, where,
+/// and how to scale and sink each iteration. [`drive`] runs it.
+pub(crate) struct Run<'a> {
+    pub(crate) src: Source<'a>,
+    pub(crate) labels: Option<&'a [u8]>,
+    /// The (undirected) template: size, labels, partition.
+    pub(crate) t: &'a Template,
+    pub(crate) pt: &'a PartitionTree,
+    pub(crate) k: usize,
+    /// Automorphism count `α` of the scaling `1 / (P · α)`.
+    pub(crate) alpha: u64,
+    /// Sink root-table row sums into a per-vertex accumulator (and stream
+    /// their total) instead of streaming the table total.
+    pub(crate) rooted: bool,
+}
+
+/// The iteration driver every counting entry point shares: waves of
+/// iterations under the stop rule, with panic retry, cancellation,
+/// checkpoints, fault and chaos hooks, and every observer. Returns the
+/// run summary, plus the per-vertex means of a rooted run.
+pub(crate) fn drive(
+    run: &Run<'_>,
+    cfg: &CountConfig,
+) -> Result<(CountResult, Option<Vec<f64>>), CountError> {
+    let Run {
+        src,
+        labels,
+        t,
+        pt,
+        k,
+        alpha,
+        rooted,
+    } = *run;
+    let n = src.num_vertices();
+    // The checkpoint format stores the scalar series only, so rooted runs
+    // neither write nor resume one.
+    let checkpoint = cfg.checkpoint.as_ref().filter(|_| !rooted);
+    let resume = cfg.resume.as_ref().filter(|_| !rooted);
+    let ctx = DpContext::new(pt, k);
+    let rm = RunMetrics::resolve(cfg.metrics.as_deref(), pt);
+    let tr = RunTrace::resolve(cfg.tracer.as_ref(), pt);
+    let pr = RunProf::resolve(cfg.profiler.as_ref(), pt);
+    let mm = RunMem::resolve(cfg.mem.as_ref(), pt);
+    let es = RunEst::resolve(cfg.est.as_ref(), (0..n).map(|v| src.degree(v)));
     let p = colorful_probability(k, t.size());
     let scale = p * alpha as f64;
     let rule = cfg.stop_rule();
@@ -687,14 +605,14 @@ fn count_impl(
 
     // A resume checkpoint's fingerprint must match this run exactly
     // before its series can be trusted.
-    let resumed: &[f64] = match &cfg.resume {
+    let resumed: &[f64] = match resume {
         Some(ck) => {
             let checks: [(&'static str, bool); 6] = [
                 ("seed", ck.seed == cfg.seed),
                 ("colors", ck.colors == k),
                 ("template_size", ck.template_size == t.size()),
-                ("graph_vertices", ck.graph_vertices == g.num_vertices()),
-                ("graph_edges", ck.graph_edges == g.num_edges()),
+                ("graph_vertices", ck.graph_vertices == n),
+                ("graph_edges", ck.graph_edges == src.num_edges()),
                 ("rule", ck.rule == rule),
             ];
             if let Some(&(field, _)) = checks.iter().find(|&&(_, ok)| !ok) {
@@ -704,7 +622,7 @@ fn count_impl(
         }
         None => &[],
     };
-    if cfg.resume.is_some() {
+    if resume.is_some() {
         RunTrace::instant_opt(tr.as_ref(), |t| t.checkpoint_resume, resumed.len() as u64);
     }
 
@@ -719,7 +637,7 @@ fn count_impl(
         .clone()
         .or_else(|| fault.cancel_on_iteration.map(|_| CancelToken::new()));
 
-    let mode = cfg.parallel.resolve(g.num_vertices(), budget);
+    let mode = cfg.parallel.resolve(n, budget);
     if let Some(m) = &rm {
         m.threads.set(rayon::current_num_threads() as u64);
     }
@@ -731,9 +649,18 @@ fn count_impl(
     // one iteration per wave for serial/inner modes, `num_threads`
     // iterations per wave for outer/hybrid so every worker keeps a
     // private table and a full complement of work between barriers.
-    let check_interval = match mode {
-        ParallelMode::OuterLoop | ParallelMode::Hybrid => rayon::current_num_threads().max(1),
-        _ => 1,
+    let outer = matches!(mode, ParallelMode::OuterLoop | ParallelMode::Hybrid);
+    let inner = matches!(mode, ParallelMode::InnerLoop | ParallelMode::Hybrid);
+    let check_interval = if outer {
+        rayon::current_num_threads().max(1)
+    } else {
+        1
+    };
+    // Outer-loop parallelism multiplies live tables by the worker count.
+    let peak_table_bytes = |raw: &[(f64, usize)]| {
+        let peak_one = raw.iter().map(|&(_, b)| b).max().unwrap_or(0);
+        (peak_one * check_interval.min(raw.len()).max(1))
+            .max(resume.map_or(0, |ck| ck.peak_table_bytes))
     };
     // Outer-loop workers each hold a private set of live tables, so a
     // memory budget is split between them. A chaos squeeze halves (or
@@ -744,9 +671,25 @@ fn count_impl(
         limit: (limit >> squeeze) / check_interval.max(1),
         preferred: cfg.table,
     });
+    let pass = Pass {
+        src,
+        labels,
+        t,
+        pt,
+        ctx: &ctx,
+        preferred: cfg.table,
+        gate: gate.as_ref(),
+        cancel: cancel.as_ref(),
+        want_row_sums: rooted,
+        retain: false,
+        rm: rm.as_ref(),
+        tr: tr.as_ref(),
+        pr: pr.as_ref(),
+        mm: mm.as_ref(),
+        es: es.as_ref(),
+    };
 
-    type IterOk = (f64, usize, Option<EstIterStrata>);
-    let run_attempt = |i: usize, inner: bool, seed: u64| -> Result<IterOk, CountError> {
+    let run_attempt = |i: usize, seed: u64| -> Result<IterationOutput, CountError> {
         let iter_span = SpanTimer::start_opt(rm.as_ref().map(|m| &*m.iteration_ns));
         let iter_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.iteration, i as u64);
         let iter_ph = RunProf::enter_opt(pr.as_ref(), |p| p.iteration);
@@ -755,7 +698,7 @@ fn count_impl(
         let col_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.coloring, i as u64);
         let col_ph = RunProf::enter_opt(pr.as_ref(), |p| p.coloring);
         let col_mph = RunMem::enter_opt(mm.as_ref(), |m| m.coloring);
-        let coloring = random_coloring(g.num_vertices(), k, iteration_seed(seed, i as u64));
+        let coloring = random_coloring(n, k, iteration_seed(seed, i as u64));
         drop(col_mph);
         drop(col_ph);
         drop(col_tspan);
@@ -766,26 +709,7 @@ fn count_impl(
         if let Some(d) = chaos_run.as_ref().and_then(|c| c.dp_stall(i)) {
             eff_fault.sleep_in_dp = Some(eff_fault.sleep_in_dp.map_or(d, |s| s + d));
         }
-        let out = dispatch_iteration(
-            g,
-            labels,
-            t,
-            &pt,
-            &ctx,
-            &coloring,
-            inner,
-            cfg.kernel,
-            cfg.table,
-            gate.as_ref(),
-            cancel.as_ref(),
-            false,
-            eff_fault,
-            rm.as_ref(),
-            tr.as_ref(),
-            pr.as_ref(),
-            mm.as_ref(),
-            es.as_ref(),
-        )?;
+        let out = dispatch_iteration(&pass, &coloring, inner, eff_fault)?;
         drop(iter_mph);
         drop(iter_ph);
         drop(iter_tspan);
@@ -797,9 +721,9 @@ fn count_impl(
             }
             m.table.bytes_peak.set_max(out.peak_bytes as u64);
         }
-        Ok((out.colorful_total, out.peak_bytes, out.est_strata))
+        Ok(out)
     };
-    let run_one = |i: usize, inner: bool| -> Result<IterOk, CountError> {
+    let run_one = |i: usize| -> Result<IterationOutput, CountError> {
         if let Some(tok) = &cancel {
             if fault.cancel_on_iteration == Some(i) {
                 tok.cancel();
@@ -815,7 +739,7 @@ fn count_impl(
             if chaos_run.as_ref().is_some_and(|c| c.should_panic(i, 0)) {
                 panic!("chaos: scheduled worker panic at iteration {i}");
             }
-            run_attempt(i, inner, cfg.seed)
+            run_attempt(i, cfg.seed)
         }));
         match first {
             Ok(res) => res,
@@ -833,7 +757,7 @@ fn count_impl(
                     if chaos_run.as_ref().is_some_and(|c| c.should_panic(i, 1)) {
                         panic!("chaos: scheduled worker panic at iteration {i} (retry)");
                     }
-                    run_attempt(i, inner, cfg.seed ^ RETRY_SEED_SALT)
+                    run_attempt(i, cfg.seed ^ RETRY_SEED_SALT)
                 })) {
                     Ok(res) => res,
                     Err(again) => resume_unwind(again),
@@ -843,29 +767,21 @@ fn count_impl(
     };
     let flush_ordinal = std::cell::Cell::new(0u64);
     let flush_checkpoint = |raw: &[(f64, usize)]| -> Result<(), CountError> {
-        let Some(ckcfg) = &cfg.checkpoint else {
+        let Some(ckcfg) = checkpoint else {
             return Ok(());
         };
         let _flush_tspan =
             RunTrace::span_opt(tr.as_ref(), |t| t.checkpoint_flush, raw.len() as u64);
         let _flush_ph = RunProf::enter_opt(pr.as_ref(), |p| p.checkpoint_flush);
-        let peak_one = raw.iter().map(|&(_, b)| b).max().unwrap_or(0);
-        let peak = match mode {
-            ParallelMode::OuterLoop | ParallelMode::Hybrid => {
-                peak_one * check_interval.min(raw.len()).max(1)
-            }
-            _ => peak_one,
-        }
-        .max(cfg.resume.as_ref().map_or(0, |ck| ck.peak_table_bytes));
         let ck = Checkpoint {
             seed: cfg.seed,
             colors: k,
             template_size: t.size(),
-            graph_vertices: g.num_vertices(),
-            graph_edges: g.num_edges(),
+            graph_vertices: n,
+            graph_edges: src.num_edges(),
             rule: rule.clone(),
             per_iteration: raw.iter().map(|&(x, _)| x).collect(),
-            peak_table_bytes: peak,
+            peak_table_bytes: peak_table_bytes(raw),
         };
         // The schedule can fail a flush before any bytes move; `op` is the
         // flush ordinal, so successive flushes roll independent faults.
@@ -889,20 +805,16 @@ fn count_impl(
     // without any of those features the schedule below reduces exactly to
     // the classic one.
     let resilient = cancel.is_some()
-        || cfg.checkpoint.is_some()
+        || checkpoint.is_some()
         || cfg.chaos.is_some()
         || fault != FaultInjection::default();
     let mut stream = Welford::new();
     let mut raw: Vec<(f64, usize)> = Vec::with_capacity(resumed.len());
-    // Running relative CI at the stop rule's critical value (NaN while
-    // undefined), shared by the ledger feed for resumed and live
-    // iterations.
-    let rel_ci_now = |stream: &Welford| -> f64 {
-        if stream.count() >= 2 && stream.mean() != 0.0 {
-            stream.ci_half_width(rule.z()) / stream.mean().abs()
-        } else {
-            f64::NAN
-        }
+    // Running relative CI at the stop rule's critical value, once defined;
+    // shared by the ledger feed, the progress snapshot and the trace.
+    let ci_rel = |stream: &Welford| {
+        (stream.count() >= 2 && stream.mean() != 0.0)
+            .then(|| stream.ci_half_width(rule.z()) / stream.mean().abs())
     };
     for &x in resumed {
         stream.push(x);
@@ -913,7 +825,7 @@ fn count_impl(
                 raw.len() as u64,
                 x,
                 stream.mean(),
-                rel_ci_now(&stream),
+                ci_rel(&stream).unwrap_or(f64::NAN),
                 None,
                 scale,
             );
@@ -931,14 +843,18 @@ fn count_impl(
         done,
         budget,
         estimate: stream.mean(),
-        ci_rel: (stream.count() >= 2 && stream.mean() != 0.0)
-            .then(|| stream.ci_half_width(rule.z()) / stream.mean().abs()),
+        ci_rel: ci_rel(stream),
         target_rel,
         elapsed: start.elapsed(),
         stop_cause: cause,
     };
     let mut cause = StopCause::Completed;
     let mut waves_since_flush = 0usize;
+    // A rooted iteration hands back O(n) row sums, so its waves run and
+    // fold `check_interval` iterations at a time, holding O(n) state
+    // however many iterations the run has; scalar waves run whole.
+    let chunk = if rooted { check_interval } else { usize::MAX };
+    let mut per_vertex = rooted.then(|| vec![0.0f64; n]);
     loop {
         let done = raw.len();
         // A resumed run may already be complete or converged.
@@ -956,24 +872,55 @@ fn count_impl(
         };
         let wave_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.wave, (target - done) as u64);
         let wave_ph = RunProf::enter_opt(pr.as_ref(), |p| p.wave);
-        let wave: Vec<Result<IterOk, CountError>> = match mode {
-            ParallelMode::OuterLoop => (done..target)
-                .into_par_iter()
-                .map(|i| run_one(i, false))
-                .collect(),
-            ParallelMode::Hybrid => (done..target)
-                .into_par_iter()
-                .map(|i| run_one(i, true))
-                .collect(),
-            ParallelMode::InnerLoop => (done..target).map(|i| run_one(i, true)).collect(),
-            _ => (done..target).map(|i| run_one(i, false)).collect(),
-        };
+        let mut cancelled = false;
+        let mut next = done;
+        while next < target {
+            let end = target.min(next.saturating_add(chunk));
+            let results: Vec<Result<IterationOutput, CountError>> = if outer {
+                (next..end).into_par_iter().map(run_one).collect()
+            } else {
+                (next..end).map(run_one).collect()
+            };
+            // A cancelled wave is discarded whole, so the surviving series
+            // is always the contiguous iteration prefix a checkpoint
+            // describes. (A wave spans several chunks only in runs that
+            // cannot be cancelled.)
+            cancelled = cancel.as_ref().is_some_and(|c| c.is_cancelled())
+                || results
+                    .iter()
+                    .any(|r| matches!(r, Err(CountError::Cancelled)));
+            if cancelled {
+                break;
+            }
+            for r in results {
+                let out = r?;
+                let total = match (&out.root_row_sums, per_vertex.as_mut()) {
+                    (Some(sums), Some(acc)) => {
+                        for (a, &x) in acc.iter_mut().zip(sums) {
+                            *a += x;
+                        }
+                        sums.iter().sum::<f64>()
+                    }
+                    _ => out.colorful_total,
+                };
+                let x = total / scale;
+                stream.push(x);
+                if let Some(e) = es.as_ref() {
+                    e.record_iteration(
+                        raw.len() as u64,
+                        x,
+                        stream.mean(),
+                        ci_rel(&stream).unwrap_or(f64::NAN),
+                        out.est_strata.as_ref(),
+                        scale,
+                    );
+                }
+                raw.push((x, out.peak_bytes));
+            }
+            next = end;
+        }
         drop(wave_ph);
         drop(wave_tspan);
-        // A cancelled wave is discarded whole, so the surviving series is
-        // always the contiguous iteration prefix a checkpoint describes.
-        let cancelled = cancel.as_ref().is_some_and(|c| c.is_cancelled())
-            || wave.iter().any(|r| matches!(r, Err(CountError::Cancelled)));
         if cancelled {
             cause = cancel
                 .as_ref()
@@ -982,43 +929,23 @@ fn count_impl(
             RunTrace::instant_opt(tr.as_ref(), |t| t.cancelled, raw.len() as u64);
             break;
         }
-        for r in wave {
-            let (c, b, strata) = r?;
-            let x = c / scale;
-            stream.push(x);
-            if let Some(e) = es.as_ref() {
-                e.record_iteration(
-                    raw.len() as u64,
-                    x,
-                    stream.mean(),
-                    rel_ci_now(&stream),
-                    strata.as_ref(),
-                    scale,
-                );
-            }
-            raw.push((x, b));
-        }
-        if let Some(m) = &rm {
-            if rule.is_adaptive() {
+        if rule.is_adaptive() {
+            if let Some(m) = &rm {
                 m.adaptive_checks.inc();
                 m.adaptive_estimate
                     .set(stream.mean().max(0.0).round() as u64);
                 m.adaptive_ci
                     .set(stream.ci_half_width(rule.z()).round() as u64);
             }
-        }
-        if let Some(t) = tr.as_ref() {
-            if rule.is_adaptive() {
-                if let Some(ci_rel) = snapshot(&stream, raw.len(), None).ci_rel {
-                    t.tracer
-                        .sample(t.adaptive_ci, (ci_rel * 1000.0).round() as u64);
-                }
+            if let (Some(t), Some(ci_rel)) = (tr.as_ref(), ci_rel(&stream)) {
+                t.tracer
+                    .sample(t.adaptive_ci, (ci_rel * 1000.0).round() as u64);
             }
         }
         if let Some(p) = &cfg.progress {
             p.wave(&snapshot(&stream, raw.len(), None));
         }
-        if let Some(ckcfg) = &cfg.checkpoint {
+        if let Some(ckcfg) = checkpoint {
             waves_since_flush += 1;
             if waves_since_flush >= ckcfg.every_waves.max(1) {
                 waves_since_flush = 0;
@@ -1040,7 +967,7 @@ fn count_impl(
     // resume file behind. The progress reporter likewise always sees the
     // terminal snapshot (and terminates its stderr line).
     flush_checkpoint(&raw)?;
-    if let Some(ckcfg) = &cfg.checkpoint {
+    if let Some(ckcfg) = checkpoint {
         // A `.tmp` sibling can only be a stale staging file from a process
         // that died between write and rename; this run's own writes either
         // renamed it away or removed it on failure. Sweep it so the run
@@ -1061,34 +988,32 @@ fn count_impl(
         }
     }
     let per_iteration: Vec<f64> = raw.iter().map(|&(x, _)| x).collect();
-    // Outer-loop parallelism multiplies live tables by the worker count.
-    let peak_one = raw.iter().map(|&(_, b)| b).max().unwrap_or(0);
-    let peak_table_bytes = match mode {
-        ParallelMode::OuterLoop | ParallelMode::Hybrid => {
-            peak_one * rayon::current_num_threads().min(iters).max(1)
-        }
-        _ => peak_one,
-    }
-    .max(cfg.resume.as_ref().map_or(0, |ck| ck.peak_table_bytes));
     let elapsed = start.elapsed();
     // The batch statistics reproduce the streaming ones; computing them
     // from the series keeps `estimate` bitwise identical to the
     // pre-adaptive mean-of-series expression.
     let stats = EstimateStats::from_series(&per_iteration);
-    Ok(CountResult {
+    if let Some(acc) = per_vertex.as_mut() {
+        let denom = scale * iters as f64;
+        for x in acc.iter_mut() {
+            *x /= denom;
+        }
+    }
+    let result = CountResult {
         estimate: stats.mean,
         per_iteration,
         iterations_run: iters,
         std_error: stats.std_error,
         ci95: stats.ci95_half_width,
-        peak_table_bytes,
+        peak_table_bytes: peak_table_bytes(&raw),
         elapsed,
         per_iteration_time: elapsed / executed.max(1) as u32,
         automorphisms: alpha,
         colorful_probability: p,
         stop_cause: cause,
         resumed_iterations,
-    })
+    };
+    Ok((result, per_vertex))
 }
 
 /// Precomputed combinatorial context shared by all iterations of a run.
@@ -1111,7 +1036,7 @@ pub(crate) struct DpContext {
 }
 
 impl DpContext {
-    pub(crate) fn new(t: &Template, pt: &PartitionTree, k: usize) -> Self {
+    pub(crate) fn new(pt: &PartitionTree, k: usize) -> Self {
         let binom = BinomialTable::new(fascia_combin::MAX_COLORS.max(k));
         let nc: Vec<usize> = (0..=k).map(|h| binom.get(k, h) as usize).collect();
         let mut splits = HashMap::new();
@@ -1133,7 +1058,6 @@ impl DpContext {
                 }
             }
         }
-        let _ = t;
         let pos_splits: HashMap<(u8, u8), PositionSplitTable> = splits
             .iter()
             .map(|(&key, s)| (key, PositionSplitTable::new(s)))
@@ -1252,15 +1176,15 @@ struct IterationOutput {
 #[inline]
 fn record_table_trace(
     tr: Option<&RunTrace>,
-    gated: bool,
-    preferred: TableKind,
+    gate: Option<&BudgetGate>,
     chosen: TableKind,
     bytes: usize,
 ) {
     let Some(t) = tr else { return };
     t.tracer.instant(t.table_build, bytes as u64);
-    if gated && chosen != preferred {
-        let steps = preferred
+    if let Some(gate) = gate.filter(|g| g.preferred != chosen) {
+        let steps = gate
+            .preferred
             .ladder()
             .iter()
             .position(|&k| k == chosen)
@@ -1269,141 +1193,116 @@ fn record_table_trace(
     }
 }
 
+/// What every DP pass of a run reads besides its coloring: fixed for the
+/// whole run.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    src: Source<'a>,
+    labels: Option<&'a [u8]>,
+    t: &'a Template,
+    pt: &'a PartitionTree,
+    ctx: &'a DpContext,
+    /// The layout the run asked for (the top of the budget ladder).
+    preferred: TableKind,
+    gate: Option<&'a BudgetGate>,
+    cancel: Option<&'a CancelToken>,
+    /// Hand back the root table's per-vertex row sums.
+    want_row_sums: bool,
+    /// Keep every table alive to the end of the pass instead of releasing
+    /// each after its last consumer.
+    retain: bool,
+    rm: Option<&'a RunMetrics>,
+    tr: Option<&'a RunTrace>,
+    pr: Option<&'a RunProf>,
+    mm: Option<&'a RunMem>,
+    es: Option<&'a RunEst>,
+}
+
 /// Monomorphization dispatch on the table layout. Budgeted runs pick a
 /// layout per subtemplate at run time, so they go through the
 /// layout-erased [`AnyTable`] instead of a concrete monomorphization.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_iteration(
-    g: &Graph,
-    labels: Option<&[u8]>,
-    t: &Template,
-    pt: &PartitionTree,
-    ctx: &DpContext,
+    pass: &Pass<'_>,
     coloring: &[u8],
     inner_parallel: bool,
-    kernel: KernelKind,
-    kind: TableKind,
-    gate: Option<&BudgetGate>,
-    cancel: Option<&CancelToken>,
-    want_row_sums: bool,
     fault: FaultInjection,
-    rm: Option<&RunMetrics>,
-    tr: Option<&RunTrace>,
-    pr: Option<&RunProf>,
-    mm: Option<&RunMem>,
-    es: Option<&RunEst>,
 ) -> Result<IterationOutput, CountError> {
-    if gate.is_some() {
-        return run_iteration::<AnyTable>(
-            g,
-            labels,
-            t,
-            pt,
-            ctx,
-            coloring,
-            inner_parallel,
-            kernel,
-            kind,
-            gate,
-            cancel,
-            want_row_sums,
-            fault,
-            rm,
-            tr,
-            pr,
-            mm,
-            es,
-        );
+    fn run<T: CountTable>(
+        pass: &Pass<'_>,
+        coloring: &[u8],
+        inner_parallel: bool,
+        fault: FaultInjection,
+    ) -> Result<IterationOutput, CountError> {
+        run_iteration::<T>(pass, coloring, inner_parallel, fault).map(|(out, _)| out)
     }
-    match kind {
-        TableKind::Dense => run_iteration::<DenseTable>(
-            g,
-            labels,
-            t,
-            pt,
-            ctx,
-            coloring,
-            inner_parallel,
-            kernel,
-            kind,
-            None,
-            cancel,
-            want_row_sums,
-            fault,
-            rm,
-            tr,
-            pr,
-            mm,
-            es,
-        ),
-        TableKind::Lazy => run_iteration::<LazyTable>(
-            g,
-            labels,
-            t,
-            pt,
-            ctx,
-            coloring,
-            inner_parallel,
-            kernel,
-            kind,
-            None,
-            cancel,
-            want_row_sums,
-            fault,
-            rm,
-            tr,
-            pr,
-            mm,
-            es,
-        ),
-        TableKind::Hash => run_iteration::<HashCountTable>(
-            g,
-            labels,
-            t,
-            pt,
-            ctx,
-            coloring,
-            inner_parallel,
-            kernel,
-            kind,
-            None,
-            cancel,
-            want_row_sums,
-            fault,
-            rm,
-            tr,
-            pr,
-            mm,
-            es,
-        ),
-    }
+    let run = match (pass.gate, pass.preferred) {
+        (Some(_), _) => run::<AnyTable>,
+        (None, TableKind::Dense) => run::<DenseTable>,
+        (None, TableKind::Lazy) => run::<LazyTable>,
+        (None, TableKind::Hash) => run::<HashCountTable>,
+    };
+    run(pass, coloring, inner_parallel, fault)
 }
 
-/// Runs one full bottom-up DP pass for one coloring (Alg. 2).
-#[allow(clippy::too_many_arguments)]
-fn run_iteration<T: CountTable>(
+/// One DP pass over `coloring` that keeps every canonical class's table
+/// (lazy layout) alive, for sampling to backtrack through.
+pub(crate) fn retained_tables(
     g: &Graph,
-    labels: Option<&[u8]>,
     t: &Template,
     pt: &PartitionTree,
     ctx: &DpContext,
     coloring: &[u8],
+) -> Vec<Option<Stored<LazyTable>>> {
+    let pass = Pass {
+        src: Source::Undirected(g),
+        labels: None,
+        t,
+        pt,
+        ctx,
+        preferred: TableKind::Lazy,
+        gate: None,
+        cancel: None,
+        want_row_sums: false,
+        retain: true,
+        rm: None,
+        tr: None,
+        pr: None,
+        mm: None,
+        es: None,
+    };
+    run_iteration::<LazyTable>(&pass, coloring, false, FaultInjection::default())
+        .expect("a pass without budget or cancellation cannot fail")
+        .1
+}
+
+/// Runs one full bottom-up DP pass for one coloring (Alg. 2), handing
+/// back the tables still held at its end.
+#[allow(clippy::type_complexity)]
+fn run_iteration<T: CountTable>(
+    pass: &Pass<'_>,
+    coloring: &[u8],
     inner_parallel: bool,
-    kernel: KernelKind,
-    preferred: TableKind,
-    gate: Option<&BudgetGate>,
-    cancel: Option<&CancelToken>,
-    want_row_sums: bool,
     fault: FaultInjection,
-    rm: Option<&RunMetrics>,
-    tr: Option<&RunTrace>,
-    pr: Option<&RunProf>,
-    mm: Option<&RunMem>,
-    es: Option<&RunEst>,
-) -> Result<IterationOutput, CountError> {
-    let n = g.num_vertices();
-    let mut stored: Vec<Option<Stored<T>>> = Vec::new();
-    stored.resize_with(pt.num_canon_classes(), || None);
+) -> Result<(IterationOutput, Vec<Option<Stored<T>>>), CountError> {
+    let Pass {
+        src,
+        labels,
+        t,
+        pt,
+        ctx,
+        preferred,
+        gate,
+        cancel,
+        want_row_sums,
+        retain,
+        rm,
+        tr,
+        pr,
+        mm,
+        es,
+    } = *pass;
+    let n = src.num_vertices();
+    let mut stored: Vec<Option<Stored<T>>> = (0..pt.num_canon_classes()).map(|_| None).collect();
     let mut uses = pt.class_use_counts();
     // Maps canon class → the partition node that built its table, so
     // fascia-mem/1 can attribute a table's lifetime access counters when
@@ -1419,22 +1318,7 @@ fn run_iteration<T: CountTable>(
     // is released. Under a memory budget the whole point is not to
     // allocate what the DP never reads, so the gate suppresses them.
     let materialize_ghosts = preferred == TableKind::Dense && gate.is_none();
-    let mut ghost_singles: Vec<Option<T>> = Vec::new();
-    ghost_singles.resize_with(pt.num_canon_classes(), || None);
-    let pick = |rows: &Rows, nc: usize, live_bytes: usize| -> Result<TableKind, CountError> {
-        match gate {
-            Some(gate) => {
-                let active = rows.iter().filter(|r| r.is_some()).count();
-                let live: usize = rows
-                    .iter()
-                    .flatten()
-                    .map(|r| r.iter().filter(|&&x| x != 0.0).count())
-                    .sum();
-                gate.choose(n, nc, active, live, live_bytes, rm)
-            }
-            None => Ok(preferred),
-        }
-    };
+    let mut ghost_singles: Vec<Option<T>> = (0..pt.num_canon_classes()).map(|_| None).collect();
 
     for &idx in pt.unique_order() {
         if cancel.is_some_and(|c| c.is_cancelled()) {
@@ -1449,7 +1333,9 @@ fn run_iteration<T: CountTable>(
         if let Some(d) = fault.sleep_in_dp {
             std::thread::sleep(d);
         }
-        match node.kind {
+        // Each materialized node yields its table and, for a cut, the
+        // child classes it consumes.
+        let (table, children): (T, Option<[usize; 2]>) = match node.kind {
             NodeKind::Vertex => {
                 let label = labels.map(|_| t.label(node.root));
                 if materialize_ghosts {
@@ -1477,9 +1363,13 @@ fn run_iteration<T: CountTable>(
                     class_node[cid] = Some(idx as usize);
                 }
                 stored[cid] = Some(Stored::Single { label });
+                continue;
             }
             NodeKind::Triangle { partners } => {
-                let rows = triangle_rows_for(
+                let Source::Undirected(g) = src else {
+                    unreachable!("directed templates are trees")
+                };
+                let rows = triangle_rows(
                     g,
                     labels,
                     t,
@@ -1488,23 +1378,19 @@ fn run_iteration<T: CountTable>(
                     ctx,
                     coloring,
                     inner_parallel,
-                    None,
                     cancel,
                     rm.map(|m| &m.triangle),
                 );
-                let kind = pick(&rows, ctx.nc[3], live_bytes)?;
-                let table = {
-                    let _bph = RunProf::enter_opt(pr, |p| p.table_build);
-                    T::from_rows_kind(kind, n, ctx.nc[3], rows)
+                let kind = match gate {
+                    Some(gate) => {
+                        let active = rows.iter().filter(|r| r.is_some()).count();
+                        let live = rows.iter().flatten().flatten().filter(|&&x| x != 0.0);
+                        gate.choose(n, ctx.nc[3], active, live.count(), live_bytes, rm)?
+                    }
+                    None => preferred,
                 };
-                record_table_trace(tr, gate.is_some(), preferred, kind, table.bytes());
-                live_bytes += table.bytes();
-                peak_bytes = peak_bytes.max(live_bytes);
-                if let Some(m) = rm {
-                    m.table.record(&table);
-                }
-                stored[cid] = Some(Stored::Table(table));
-                class_node[cid] = Some(idx as usize);
+                let _bph = RunProf::enter_opt(pr, |p| p.table_build);
+                (T::from_rows_kind(kind, n, ctx.nc[3], rows), None)
             }
             NodeKind::Cut { active, passive } => {
                 let a_node = &pt.nodes()[active as usize];
@@ -1512,94 +1398,72 @@ fn run_iteration<T: CountTable>(
                 let a_cid = a_node.canon_id as usize;
                 let p_cid = p_node.canon_id as usize;
                 let nc_h = ctx.nc[node.size as usize];
-                let table = {
-                    let act = stored[a_cid].as_ref().expect("active child computed");
-                    let pas = if p_cid == a_cid {
-                        act
-                    } else {
-                        stored[p_cid].as_ref().expect("passive child computed")
-                    };
-                    match kernel {
-                        KernelKind::Vectorized => {
-                            let kph = RunProf::enter_opt(pr, |p| p.kernel_vectorized);
-                            let batch = cut_batch(
-                                g,
-                                labels,
-                                node,
-                                a_node,
-                                p_node,
-                                act,
-                                pas,
-                                ctx,
-                                coloring,
-                                inner_parallel,
-                                cancel,
-                                rm.map(|m| &m.cut),
-                            );
-                            drop(kph);
-                            let kind = match gate {
-                                Some(gate) => gate.choose(
-                                    n,
-                                    nc_h,
-                                    batch.active_rows(),
-                                    batch.live_entries(),
-                                    live_bytes,
-                                    rm,
-                                )?,
-                                None => preferred,
-                            };
-                            let _bph = RunProf::enter_opt(pr, |p| p.table_build);
-                            T::from_batch_kind(kind, batch)
-                        }
-                        KernelKind::Scalar => {
-                            let kph = RunProf::enter_opt(pr, |p| p.kernel_scalar);
-                            let rows = cut_rows_for(
-                                g,
-                                labels,
-                                node,
-                                a_node,
-                                p_node,
-                                act,
-                                pas,
-                                ctx,
-                                coloring,
-                                inner_parallel,
-                                None,
-                                cancel,
-                                rm.map(|m| &m.cut),
-                            );
-                            drop(kph);
-                            let kind = pick(&rows, nc_h, live_bytes)?;
-                            let _bph = RunProf::enter_opt(pr, |p| p.table_build);
-                            T::from_rows_kind(kind, n, nc_h, rows)
-                        }
-                    }
+                let act = stored[a_cid].as_ref().expect("active child computed");
+                let pas = stored[p_cid].as_ref().expect("passive child computed");
+                let job = CutJob {
+                    labels,
+                    node,
+                    a_node,
+                    p_node,
+                    act,
+                    pas,
+                    ctx,
+                    coloring,
+                    inner_parallel,
+                    owned: None,
+                    cancel,
+                    cm: rm.map(|m| &m.cut),
                 };
-                record_table_trace(tr, gate.is_some(), preferred, table.kind(), table.bytes());
-                live_bytes += table.bytes();
-                peak_bytes = peak_bytes.max(live_bytes);
-                if let Some(m) = rm {
-                    m.table.record(&table);
-                }
-                stored[cid] = Some(Stored::Table(table));
-                class_node[cid] = Some(idx as usize);
-                // Release children that have no remaining consumers.
-                for child_cid in [a_cid, p_cid] {
-                    uses[child_cid] -= 1;
-                    if uses[child_cid] == 0 && child_cid != cid {
-                        if let Some(Stored::Table(old)) = stored[child_cid].take() {
-                            if let Some(ci) = class_node[child_cid] {
-                                RunMem::record_node(mm, ci, &old);
-                            }
-                            live_bytes -= old.bytes();
-                        }
-                        if let Some(ghost) = ghost_singles[child_cid].take() {
-                            if let Some(ci) = class_node[child_cid] {
-                                RunMem::record_node(mm, ci, &ghost);
-                            }
-                            live_bytes -= ghost.bytes();
-                        }
+                let kph = RunProf::enter_opt(pr, |p| p.kernel_vectorized);
+                let mut batch = RowBatch::new(n, nc_h);
+                // The template arc across a directed cut picks which
+                // arcs the neighbor sum walks.
+                match src {
+                    Source::Undirected(g) => cut_batch(g, &job, &mut batch),
+                    Source::Directed(g, dt) if dt.points_from(node.root, p_node.root) => {
+                        cut_batch(&OutArcs(g), &job, &mut batch)
                     }
+                    Source::Directed(g, _) => cut_batch(&InArcs(g), &job, &mut batch),
+                }
+                drop(kph);
+                let kind = match gate {
+                    Some(gate) => gate.choose(
+                        n,
+                        nc_h,
+                        batch.active_rows(),
+                        batch.live_entries(),
+                        live_bytes,
+                        rm,
+                    )?,
+                    None => preferred,
+                };
+                let _bph = RunProf::enter_opt(pr, |p| p.table_build);
+                (T::from_batch_kind(kind, batch), Some([a_cid, p_cid]))
+            }
+        };
+        record_table_trace(tr, gate, table.kind(), table.bytes());
+        live_bytes += table.bytes();
+        peak_bytes = peak_bytes.max(live_bytes);
+        if let Some(m) = rm {
+            m.table.record(&table);
+        }
+        stored[cid] = Some(Stored::Table(table));
+        class_node[cid] = Some(idx as usize);
+        // Release children that have no remaining consumers.
+        for child_cid in children.into_iter().flatten() {
+            uses[child_cid] -= 1;
+            if uses[child_cid] == 0 && child_cid != cid && !retain {
+                if let Some(Stored::Table(old)) = stored[child_cid].take() {
+                    if let Some(ci) = class_node[child_cid] {
+                        RunMem::record_node(mm, ci, &old);
+                    }
+                    live_bytes -= old.bytes();
+                }
+                if let Some(ghost) = ghost_singles[child_cid].take() {
+                    if let Some(ci) = class_node[child_cid] {
+                        RunMem::record_node(mm, ci, &ghost);
+                    }
+                    live_bytes -= ghost.bytes();
                 }
             }
         }
@@ -1612,71 +1476,45 @@ fn run_iteration<T: CountTable>(
     }
 
     // Final aggregation (Alg. 2, line 20).
-    let root_cid = pt.root().canon_id as usize;
-    let (colorful_total, root_row_sums) =
-        match stored[root_cid].as_ref().expect("root table computed") {
-            Stored::Single { label } => {
-                // Single-vertex template: each matching vertex is one embedding.
-                let sums: Vec<f64> = (0..n)
-                    .map(|v| match (label, labels) {
-                        (Some(l), Some(gl)) => (gl[v] == *l) as u8 as f64,
-                        _ => 1.0,
-                    })
-                    .collect();
-                let total = sums.iter().sum();
-                (total, want_row_sums.then_some(sums))
-            }
-            Stored::Table(table) => {
-                let total = table.total();
-                let sums = want_row_sums.then(|| {
-                    (0..n)
-                        .map(|v| match table.row_slice(v) {
-                            Some(row) => row.iter().sum::<f64>(),
-                            None => (0..table.num_colorsets()).map(|cs| table.get(v, cs)).sum(),
-                        })
-                        .collect()
-                });
-                (total, sums)
-            }
-        };
+    let root = stored[pt.root().canon_id as usize]
+        .as_ref()
+        .expect("root table computed");
+    let row_sum = |v: usize| -> f64 {
+        match root {
+            // Single-vertex template: each matching vertex is one embedding.
+            Stored::Single { label } => match (label, labels) {
+                (Some(l), Some(gl)) => (gl[v] == *l) as u8 as f64,
+                _ => 1.0,
+            },
+            Stored::Table(table) => match table.row_slice(v) {
+                Some(row) => row.iter().sum::<f64>(),
+                None => (0..table.num_colorsets()).map(|cs| table.get(v, cs)).sum(),
+            },
+        }
+    };
+    let colorful_total = match root {
+        Stored::Single { .. } => (0..n).map(row_sum).sum(),
+        Stored::Table(table) => table.total(),
+    };
+    let row_sums: Option<Vec<f64>> =
+        (want_row_sums || es.is_some()).then(|| (0..n).map(row_sum).collect());
 
-    // Estimator-observability stratum capture: re-read the root table
-    // (read-only, after the aggregation above) and split its total by the
-    // root vertex's assigned color and by its degree class. Color is the
-    // stratum key (not the root table's colorset columns — the root
-    // subtemplate spans all k colors, so that dimension is always a
-    // single column). Purely additional reads — `colorful_total` is
+    // Estimator-observability stratum capture: split the root table's
+    // total by the root vertex's assigned color and by its degree class.
+    // Color is the stratum key (not the root table's colorset columns —
+    // the root subtemplate spans all k colors, so that dimension is always
+    // a single column). Purely additional reads — `colorful_total` is
     // already fixed, so attaching an estimator collector cannot perturb
     // the count.
-    let est_strata = es.map(|e| {
+    let est_strata = es.zip(row_sums.as_ref()).map(|(e, sums)| {
         let mut by_class = vec![0.0f64; e.num_classes];
         let mut by_color = vec![0.0f64; ctx.k];
-        match stored[root_cid].as_ref().expect("root table computed") {
-            Stored::Single { label } => {
-                for v in 0..n {
-                    let ok = match (label, labels) {
-                        (Some(l), Some(gl)) => gl[v] == *l,
-                        _ => true,
-                    };
-                    if ok {
-                        by_color[coloring[v] as usize] += 1.0;
-                        by_class[e.deg_class[v] as usize] += 1.0;
-                    }
-                }
+        for (v, &sum) in sums.iter().enumerate() {
+            if sum != 0.0 {
+                by_color[coloring[v] as usize] += sum;
+                by_class[e.deg_class[v] as usize] += sum;
             }
-            Stored::Table(table) => {
-                for v in 0..n {
-                    let row_sum = match table.row_slice(v) {
-                        Some(row) => row.iter().sum::<f64>(),
-                        None => (0..table.num_colorsets()).map(|cs| table.get(v, cs)).sum(),
-                    };
-                    if row_sum != 0.0 {
-                        by_color[coloring[v] as usize] += row_sum;
-                        by_class[e.deg_class[v] as usize] += row_sum;
-                    }
-                }
-            }
-        };
+        }
         EstIterStrata {
             by_colorset: by_color,
             by_class,
@@ -1698,17 +1536,18 @@ fn run_iteration<T: CountTable>(
         }
     }
 
-    Ok(IterationOutput {
+    let out = IterationOutput {
         colorful_total,
         peak_bytes,
-        root_row_sums,
+        root_row_sums: row_sums.filter(|_| want_row_sums),
         est_strata,
-    })
+    };
+    Ok((out, stored))
 }
 
 /// Base-case rows for a triangle subtemplate rooted at `node.root`:
 /// ordered neighbor pairs (u, w) of v that close a triangle with distinct
-/// colors and matching labels.
+/// colors and matching labels, with optional base-case instrumentation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn triangle_rows(
     g: &Graph,
@@ -1719,36 +1558,6 @@ pub(crate) fn triangle_rows(
     ctx: &DpContext,
     coloring: &[u8],
     inner_parallel: bool,
-) -> Rows {
-    triangle_rows_for(
-        g,
-        labels,
-        t,
-        node,
-        partners,
-        ctx,
-        coloring,
-        inner_parallel,
-        None,
-        None,
-        None,
-    )
-}
-
-/// As [`triangle_rows`], restricted to `targets` when given (used by the
-/// distributed simulation to compute only rank-owned vertices), with
-/// optional base-case instrumentation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn triangle_rows_for(
-    g: &Graph,
-    labels: Option<&[u8]>,
-    t: &Template,
-    node: &SubNode,
-    partners: [u8; 2],
-    ctx: &DpContext,
-    coloring: &[u8],
-    inner_parallel: bool,
-    targets: Option<&[u32]>,
     cancel: Option<&CancelToken>,
     tm: Option<&TriangleMetrics>,
 ) -> Rows {
@@ -1835,261 +1644,10 @@ pub(crate) fn triangle_rows_for(
         }
         row
     };
-    match targets {
-        Some(list) => {
-            let mut rows: Rows = Vec::new();
-            rows.resize_with(g.num_vertices(), || None);
-            for &v in list {
-                rows[v as usize] = compute(v as usize);
-            }
-            rows
-        }
-        None if inner_parallel => (0..g.num_vertices()).into_par_iter().map(compute).collect(),
-        None => (0..g.num_vertices()).map(compute).collect(),
-    }
-}
-
-/// Read access to the active child's counts at a fixed vertex.
-enum ActRow<'a, T: CountTable> {
-    Slice(&'a [f64]),
-    Indirect(&'a T, usize),
-}
-
-impl<'a, T: CountTable> ActRow<'a, T> {
-    #[inline]
-    fn get(&self, cs: usize) -> f64 {
-        match self {
-            ActRow::Slice(s) => s[cs],
-            ActRow::Indirect(t, v) => t.get(*v, cs),
-        }
-    }
-}
-
-/// Rows for a cut subtemplate: the factored DP
-/// `row[C] = Σ_{Ca ⊎ Cp = C} act(v, Ca) · (Σ_u pas(u, Cp))`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cut_rows<T: CountTable>(
-    g: &Graph,
-    labels: Option<&[u8]>,
-    node: &SubNode,
-    a_node: &SubNode,
-    p_node: &SubNode,
-    act: &Stored<T>,
-    pas: &Stored<T>,
-    ctx: &DpContext,
-    coloring: &[u8],
-    inner_parallel: bool,
-) -> Rows {
-    cut_rows_for(
-        g,
-        labels,
-        node,
-        a_node,
-        p_node,
-        act,
-        pas,
-        ctx,
-        coloring,
-        inner_parallel,
-        None,
-        None,
-        None,
-    )
-}
-
-/// As [`cut_rows`], restricted to `targets` when given, with optional
-/// initialized-check instrumentation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cut_rows_for<T: CountTable>(
-    g: &Graph,
-    labels: Option<&[u8]>,
-    node: &SubNode,
-    a_node: &SubNode,
-    p_node: &SubNode,
-    act: &Stored<T>,
-    pas: &Stored<T>,
-    ctx: &DpContext,
-    coloring: &[u8],
-    inner_parallel: bool,
-    targets: Option<&[u32]>,
-    cancel: Option<&CancelToken>,
-    cm: Option<&CutMetrics>,
-) -> Rows {
-    let h = node.size as usize;
-    let a = a_node.size as usize;
-    let p = p_node.size as usize;
-    let nc_h = ctx.nc[h];
-    let nc_p = ctx.nc[p];
-    let k = ctx.k;
-    let rem = if a == 1 {
-        Some(&ctx.removals[&node.size][..])
+    if inner_parallel {
+        (0..g.num_vertices()).into_par_iter().map(compute).collect()
     } else {
-        None
-    };
-    let split = if a > 1 {
-        Some(&ctx.splits[&(node.size, a_node.size)])
-    } else {
-        None
-    };
-
-    let compute = |pas_acc: &mut Vec<f64>, v: usize| -> Option<Box<[f64]>> {
-        // Cooperative cancellation poll (see `triangle_rows_for`).
-        if v & (POLL_INTERVAL - 1) == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-            return None;
-        }
-        // Active availability at v — the paper's "initialized" check.
-        let act_row: Option<ActRow<T>> = match act {
-            Stored::Single { label } => {
-                if let (Some(l), Some(gl)) = (label, labels) {
-                    if gl[v] != *l {
-                        if let Some(c) = cm {
-                            c.roots_skipped.inc();
-                        }
-                        return None;
-                    }
-                }
-                None
-            }
-            Stored::Table(tb) => {
-                if !tb.vertex_active(v) {
-                    if let Some(c) = cm {
-                        c.roots_skipped.inc();
-                    }
-                    return None;
-                }
-                Some(match tb.row_slice(v) {
-                    Some(s) => ActRow::Slice(s),
-                    None => ActRow::Indirect(tb, v),
-                })
-            }
-        };
-        if let Some(c) = cm {
-            c.roots_visited.inc();
-        }
-
-        // Accumulate passive rows over the neighborhood.
-        pas_acc.clear();
-        pas_acc.resize(nc_p, 0.0);
-        let mut any = false;
-        // Neighbor-level initialized-check accounting, batched into locals
-        // and flushed once per vertex.
-        let mut nbr_visited = 0u64;
-        let mut nbr_skipped = 0u64;
-        match pas {
-            Stored::Single { label } => {
-                for &u in g.neighbors(v) {
-                    let u = u as usize;
-                    if let (Some(l), Some(gl)) = (label, labels) {
-                        if gl[u] != *l {
-                            nbr_skipped += 1;
-                            continue;
-                        }
-                    }
-                    // Singleton color sets rank as their color value.
-                    pas_acc[coloring[u] as usize] += 1.0;
-                    nbr_visited += 1;
-                    any = true;
-                }
-            }
-            Stored::Table(tb) => {
-                for &u in g.neighbors(v) {
-                    let u = u as usize;
-                    if !tb.vertex_active(u) {
-                        nbr_skipped += 1;
-                        continue;
-                    }
-                    nbr_visited += 1;
-                    any = true;
-                    match tb.row_slice(u) {
-                        Some(s) => {
-                            for (acc, &x) in pas_acc.iter_mut().zip(s) {
-                                *acc += x;
-                            }
-                        }
-                        None => {
-                            for (cs, acc) in pas_acc.iter_mut().enumerate() {
-                                *acc += tb.get(u, cs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(c) = cm {
-            if nbr_visited != 0 {
-                c.neighbors_visited.add(nbr_visited);
-            }
-            if nbr_skipped != 0 {
-                c.neighbors_skipped.add(nbr_skipped);
-            }
-        }
-        if !any {
-            return None;
-        }
-
-        // Combine.
-        let mut row = vec![0.0f64; nc_h].into_boxed_slice();
-        let mut nonzero = false;
-        match (&act_row, rem, split) {
-            (None, Some(rem), _) => {
-                // Active is the bare root vertex: the only live color set
-                // for it is {color(v)} — look up C \ {color(v)} directly.
-                let cv = coloring[v] as usize;
-                for (i, slot) in row.iter_mut().enumerate() {
-                    let r = rem[i * k + cv];
-                    if r >= 0 {
-                        let val = pas_acc[r as usize];
-                        if val != 0.0 {
-                            *slot = val;
-                            nonzero = true;
-                        }
-                    }
-                }
-            }
-            (Some(act_row), _, Some(split)) => {
-                for (i, slot) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for sp in split.splits(i) {
-                        let a_val = act_row.get(sp.active as usize);
-                        if a_val != 0.0 {
-                            acc += a_val * pas_acc[sp.passive as usize];
-                        }
-                    }
-                    if acc != 0.0 {
-                        *slot = acc;
-                        nonzero = true;
-                    }
-                }
-            }
-            _ => unreachable!("active-single uses removals; larger actives use splits"),
-        }
-        if nonzero {
-            Some(row)
-        } else {
-            None
-        }
-    };
-
-    match targets {
-        Some(list) => {
-            let mut rows: Rows = Vec::new();
-            rows.resize_with(g.num_vertices(), || None);
-            let mut scratch = Vec::new();
-            for &v in list {
-                rows[v as usize] = compute(&mut scratch, v as usize);
-            }
-            rows
-        }
-        None if inner_parallel => (0..g.num_vertices())
-            .into_par_iter()
-            .map_init(Vec::new, |scratch, v| compute(scratch, v))
-            .collect(),
-        None => {
-            let mut scratch = Vec::new();
-            (0..g.num_vertices())
-                .map(|v| compute(&mut scratch, v))
-                .collect()
-        }
+        (0..g.num_vertices()).map(compute).collect()
     }
 }
 
@@ -2724,7 +2282,7 @@ mod internal_tests {
     fn context_builds_needed_tables_only() {
         let t = fascia_template::NamedTemplate::U7_2.template();
         let pt = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
-        let ctx = DpContext::new(&t, &pt, 7);
+        let ctx = DpContext::new(&pt, 7);
         for &idx in pt.unique_order() {
             let node = &pt.nodes()[idx as usize];
             if let fascia_template::partition::NodeKind::Cut { active, .. } = node.kind {

@@ -53,7 +53,6 @@
 //! identical with the collector absent or attached.
 
 use crate::stats::Welford;
-use fascia_graph::Graph;
 use fascia_obs::est::{IterLedger, LedgerEntry, EST_SCHEMA};
 use fascia_obs::json::{array_of, ObjectWriter};
 use std::sync::{Arc, Mutex};
@@ -352,13 +351,15 @@ pub(crate) struct RunEst {
 }
 
 impl RunEst {
-    /// Precomputes the degree-class map. Returns `None` when no collector
-    /// is attached, which is what hot paths branch on.
-    pub(crate) fn resolve(est: Option<&Arc<EstCollector>>, g: &Graph) -> Option<Self> {
+    /// Precomputes the degree-class map from every vertex's degree, in
+    /// vertex order. Returns `None` when no collector is attached, which is
+    /// what hot paths branch on.
+    pub(crate) fn resolve(
+        est: Option<&Arc<EstCollector>>,
+        degrees: impl Iterator<Item = usize>,
+    ) -> Option<Self> {
         let collector = Arc::clone(est?);
-        let deg_class: Vec<u8> = (0..g.num_vertices())
-            .map(|v| degree_class(g.degree(v)))
-            .collect();
+        let deg_class: Vec<u8> = degrees.map(degree_class).collect();
         let num_classes = deg_class.iter().map(|&c| c as usize + 1).max().unwrap_or(1);
         Some(Self {
             collector,

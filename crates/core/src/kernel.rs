@@ -1,16 +1,13 @@
-//! The cut-node DP kernels: scalar (reference) and vectorized
-//! (colorset-major batched). See DESIGN.md §15 for the full design.
+//! The cut-node DP kernel: one colorset-major batched pass per cut
+//! node, shared by every entry point. See DESIGN.md §15 for the design.
 //!
-//! Both kernels evaluate the same factored recurrence
+//! It evaluates the factored recurrence
 //!
 //! ```text
 //! row[C] = Σ_{Ca ⊎ Cp = C} act(v, Ca) · (Σ_{u ∈ N(v)} pas(u, Cp))
 //! ```
 //!
-//! The scalar kernel (in `engine::cut_rows_for`) walks it vertex-major:
-//! for each vertex it probes child-table rows one color set at a time and
-//! allocates one boxed row per active vertex. The vectorized kernel here
-//! restructures the same arithmetic around contiguous memory:
+//! around contiguous memory:
 //!
 //! 1. **Gather** — the passive child's neighbor rows are collected as
 //!    contiguous slices (arena rows of the reworked layouts) and
@@ -23,64 +20,88 @@
 //!    (zero per-row allocations) that table construction consumes
 //!    directly.
 //!
+//! `N(v)` comes from a [`Neighbors`] source: the undirected [`Graph`], or
+//! a [`DiGraph`]'s out- or in-arcs when the directed driver picks the
+//! orientation of a cut edge. The source is a type parameter, so each one
+//! gets its own monomorphized hot loop.
+//!
 //! # Bitwise-equality contract
 //!
-//! For every `(vertex, colorset)` slot the vectorized kernel performs the
-//! *same multiplications and additions in the same order* as the scalar
-//! kernel; it only removes the `a_val != 0.0` skip (adding `+0.0` is a
-//! bitwise no-op on the non-negative counts the DP produces) and hoists
-//! loop structure. Counts are therefore bitwise identical, which
-//! `tests/kernel_equivalence.rs` enforces across every table layout and
-//! parallel mode.
+//! For every `(vertex, colorset)` slot the kernel performs the *same
+//! multiplications and additions in the same order* as the vertex-major
+//! scalar recurrence it replaced (kept as a test-only reference below); it
+//! only removes the `a_val != 0.0` skip (adding `+0.0` is a bitwise no-op
+//! on the non-negative counts the DP produces) and hoists loop structure.
+//! A node-level property test here checks that against random child
+//! tables, and the entry-point golden (`tests/kernel_equivalence.rs`)
+//! pins the end-to-end bits.
 
 use crate::engine::{DpContext, Stored};
 use crate::metrics::CutMetrics;
 use crate::resilience::{CancelToken, POLL_INTERVAL};
+use fascia_graph::digraph::DiGraph;
 use fascia_graph::Graph;
 use fascia_table::{CountTable, RowBatch};
 use fascia_template::partition::SubNode;
 use rayon::prelude::*;
 
-/// Which cut-node DP kernel the engine runs.
-///
-/// Both kernels produce bitwise-identical counts for a fixed seed; the
-/// knob exists for A/B measurement (`--kernel` on the CLI, the kernel
-/// axis of the perf suite) and as an escape hatch should a platform
-/// mis-compile the batched loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// Vertex-major reference kernel: per-vertex probes, boxed rows.
-    Scalar,
-    /// Colorset-major batched kernel: contiguous row gathers, blocked
-    /// accumulation, flat multiply-accumulate into a row arena.
-    #[default]
-    Vectorized,
+/// Where a cut node's neighbor sum walks: the vertices `v`'s sum visits,
+/// in ascending order.
+pub(crate) trait Neighbors: Sync {
+    fn neighbors(&self, v: usize) -> &[u32];
 }
 
-impl KernelKind {
-    /// Both kernels, scalar first.
-    pub fn all() -> [KernelKind; 2] {
-        [KernelKind::Scalar, KernelKind::Vectorized]
-    }
-
-    /// Display name used in CLI flags and perf-suite ids.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Vectorized => "vectorized",
-        }
+impl Neighbors for Graph {
+    #[inline]
+    fn neighbors(&self, v: usize) -> &[u32] {
+        Graph::neighbors(self, v)
     }
 }
 
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelKind::Scalar),
-            "vectorized" | "vec" => Ok(KernelKind::Vectorized),
-            other => Err(format!("unknown kernel '{other}' (scalar|vectorized)")),
-        }
+/// A directed graph's out-arcs: the template arc points from the
+/// subtemplate root to the passive root.
+pub(crate) struct OutArcs<'a>(pub &'a DiGraph);
+
+impl Neighbors for OutArcs<'_> {
+    #[inline]
+    fn neighbors(&self, v: usize) -> &[u32] {
+        self.0.out_neighbors(v)
     }
+}
+
+/// A directed graph's in-arcs: the template arc points into the
+/// subtemplate root.
+pub(crate) struct InArcs<'a>(pub &'a DiGraph);
+
+impl Neighbors for InArcs<'_> {
+    #[inline]
+    fn neighbors(&self, v: usize) -> &[u32] {
+        self.0.in_neighbors(v)
+    }
+}
+
+/// Everything one cut node's kernel pass reads besides the neighbor
+/// source and the output batch.
+pub(crate) struct CutJob<'a, 't, T: CountTable> {
+    /// Graph vertex labels of a labeled run.
+    pub labels: Option<&'a [u8]>,
+    pub node: &'a SubNode,
+    pub a_node: &'a SubNode,
+    pub p_node: &'a SubNode,
+    /// Active child (holds the subtemplate root).
+    pub act: &'t Stored<T>,
+    /// Passive child (summed over the root's neighbors).
+    pub pas: &'t Stored<T>,
+    pub ctx: &'a DpContext,
+    pub coloring: &'a [u8],
+    /// Split the vertex range across the rayon pool (ignored with
+    /// `owned`).
+    pub inner_parallel: bool,
+    /// Compute only these vertices (a simulated rank's owned set) instead
+    /// of every vertex.
+    pub owned: Option<&'a [u32]>,
+    pub cancel: Option<&'a CancelToken>,
+    pub cm: Option<&'a CutMetrics>,
 }
 
 /// Colorset-chunk width (f64 slots) of the blocked neighbor accumulation:
@@ -115,6 +136,7 @@ fn prefetch_row(r: &[f64]) {
 
 /// Per-worker scratch of the vectorized kernel, reused across vertices so
 /// the hot loop never allocates.
+#[derive(Default)]
 struct Scratch<'t> {
     /// Passive-row accumulator (`nc_p` slots).
     pas_acc: Vec<f64>,
@@ -129,19 +151,6 @@ struct Scratch<'t> {
     cnt_buf: Vec<u32>,
     /// Local cut-counter tallies (flushed once per band).
     tally: Tally,
-}
-
-impl<'t> Scratch<'t> {
-    fn new() -> Self {
-        Self {
-            pas_acc: Vec::new(),
-            act_buf: Vec::new(),
-            nbr_rows: Vec::new(),
-            probe_vs: Vec::new(),
-            cnt_buf: Vec::new(),
-            tally: Tally::default(),
-        }
-    }
 }
 
 /// Per-worker tallies of the cut counters, flushed to the shared atomic
@@ -174,24 +183,30 @@ impl Tally {
     }
 }
 
-/// Computes the cut-node rows with the vectorized kernel, returning the
-/// staged row arena. Logically identical (bitwise, see the module docs)
-/// to `engine::cut_rows_for` with `targets: None`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cut_batch<'t, T: CountTable>(
-    g: &Graph,
-    labels: Option<&[u8]>,
-    node: &SubNode,
-    a_node: &SubNode,
-    p_node: &SubNode,
-    act: &'t Stored<T>,
-    pas: &'t Stored<T>,
-    ctx: &DpContext,
-    coloring: &[u8],
-    inner_parallel: bool,
-    cancel: Option<&CancelToken>,
-    cm: Option<&CutMetrics>,
-) -> RowBatch {
+/// Computes one cut node's rows into `batch`: every vertex (banded
+/// across the pool when `job.inner_parallel`), or only `job.owned`. Rows
+/// are committed in computation order, so several owned-set passes can
+/// fill one shared batch; `batch` must not already hold rows of the
+/// vertices computed here.
+pub(crate) fn cut_batch<'t, N: Neighbors, T: CountTable>(
+    src: &N,
+    job: &CutJob<'_, 't, T>,
+    batch: &mut RowBatch,
+) {
+    let CutJob {
+        labels,
+        node,
+        a_node,
+        p_node,
+        act,
+        pas,
+        ctx,
+        coloring,
+        inner_parallel,
+        owned,
+        cancel,
+        cm,
+    } = *job;
     let h = node.size as usize;
     let a = a_node.size as usize;
     let p = p_node.size as usize;
@@ -214,7 +229,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
     // global vertex id, `slot_v` its id within `batch` (differs only for
     // the banded parallel path).
     let compute = |scratch: &mut Scratch<'t>, batch: &mut RowBatch, v: usize, slot_v: usize| {
-        // Cooperative cancellation poll (see `triangle_rows_for`); a
+        // Cooperative cancellation poll (see `triangle_rows`); a
         // bailed-out kernel leaves a truncated batch the caller discards.
         if v & (POLL_INTERVAL - 1) == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
             return;
@@ -230,7 +245,6 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
             tally,
         } = scratch;
         // Active availability at v — the paper's "initialized" check.
-        // Mirrors the scalar kernel exactly, including the metric counts.
         let act_slice: Option<&[f64]> = match act {
             Stored::Single { label } => {
                 if let (Some(l), Some(gl)) = (label, labels) {
@@ -252,7 +266,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                         // Hash layout: materialize the active row once with a
                         // batched probe (nc_a slots, one hash) instead of
                         // probing inside the MAC (nc_h · C(h,a) probes in
-                        // the scalar kernel).
+                        // the scalar reference).
                         act_buf.clear();
                         act_buf.resize(nc_a, 0.0);
                         tb.add_row_into(v, act_buf);
@@ -267,7 +281,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
         // rows are gathered first and added in colorset-major blocks;
         // a child table either has slices for every active vertex
         // (dense/lazy arenas) or for none (hash), so per-slot addition
-        // order stays exactly the scalar kernel's neighbor order.
+        // order stays exactly the scalar reference's neighbor order.
         pas_acc.clear();
         pas_acc.resize(nc_p, 0.0);
         let mut nbr_visited = 0u64;
@@ -281,7 +295,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // converted value is bitwise identical to summed 1.0s.
                 cnt_buf.clear();
                 cnt_buf.resize(nc_p, 0);
-                for &u in g.neighbors(v) {
+                for &u in src.neighbors(v) {
                     let u = u as usize;
                     if let (Some(l), Some(gl)) = (label, labels) {
                         if gl[u] != *l {
@@ -301,9 +315,9 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // both the activity check and the row read, and the
                 // prefetch starts each row's lines loading while the rest
                 // of the gather runs. Addition order (below) is exactly
-                // the scalar kernel's neighbor order.
+                // the scalar reference's neighbor order.
                 nbr_rows.clear();
-                for &u in g.neighbors(v) {
+                for &u in src.neighbors(v) {
                     match tb.row_slice(u as usize) {
                         Some(s) => {
                             prefetch_row(s);
@@ -340,7 +354,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
                 // active neighbors first — the hint starts each probe
                 // window loading — then batch-probe in neighbor order.
                 probe_vs.clear();
-                for &u in g.neighbors(v) {
+                for &u in src.neighbors(v) {
                     let u = u as usize;
                     if tb.vertex_active(u) {
                         tb.prefetch_row_hint(u);
@@ -384,7 +398,7 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
             }
             (Some(act_row), _, Some(pos)) => {
                 // Position-major flat MAC: lane j of set i is the j-th
-                // entry of the scalar kernel's split walk, so every slot
+                // entry of the scalar reference's split walk, so every slot
                 // accumulates its products in the identical order.
                 for j in 0..pos.splits_per_set() {
                     let (ai, pi) = pos.lane(j);
@@ -401,36 +415,335 @@ pub(crate) fn cut_batch<'t, T: CountTable>(
         }
     };
 
-    let n = g.num_vertices();
-    if inner_parallel {
-        // Band the vertex range; each worker fills a private batch, and
-        // the in-order concatenation reproduces the serial arena exactly
-        // (rows are independent, so band boundaries cannot change them).
-        let bands = (rayon::current_num_threads() * 4).max(1);
-        let band_len = n.div_ceil(bands).max(64);
-        let n_bands = n.div_ceil(band_len);
-        let parts: Vec<RowBatch> = (0..n_bands)
-            .into_par_iter()
-            .map(|b| {
-                let start = b * band_len;
-                let end = (start + band_len).min(n);
-                let mut batch = RowBatch::new(end - start, nc_h);
-                let mut scratch = Scratch::new();
-                for v in start..end {
-                    compute(&mut scratch, &mut batch, v, v - start);
-                }
-                scratch.tally.flush(cm);
-                batch
-            })
-            .collect();
-        RowBatch::concat(n, nc_h, parts)
-    } else {
-        let mut batch = RowBatch::new(n, nc_h);
-        let mut scratch = Scratch::new();
-        for v in 0..n {
-            compute(&mut scratch, &mut batch, v, v);
+    let n = batch.num_vertices();
+    match owned {
+        Some(list) => {
+            let mut scratch = Scratch::default();
+            for &v in list {
+                compute(&mut scratch, batch, v as usize, v as usize);
+            }
+            scratch.tally.flush(cm);
         }
-        scratch.tally.flush(cm);
-        batch
+        None if inner_parallel => {
+            // Band the vertex range; each worker fills a private batch,
+            // and the in-order concatenation reproduces the serial arena
+            // exactly (rows are independent, so band boundaries cannot
+            // change them).
+            let bands = (rayon::current_num_threads() * 4).max(1);
+            let band_len = n.div_ceil(bands).max(64);
+            let n_bands = n.div_ceil(band_len);
+            let parts: Vec<RowBatch> = (0..n_bands)
+                .into_par_iter()
+                .map(|b| {
+                    let start = b * band_len;
+                    let end = (start + band_len).min(n);
+                    let mut part = RowBatch::new(end - start, nc_h);
+                    let mut scratch = Scratch::default();
+                    for v in start..end {
+                        compute(&mut scratch, &mut part, v, v - start);
+                    }
+                    scratch.tally.flush(cm);
+                    part
+                })
+                .collect();
+            debug_assert_eq!(batch.active_rows(), 0, "banded pass needs an empty batch");
+            *batch = RowBatch::concat(n, nc_h, parts);
+        }
+        None => {
+            let mut scratch = Scratch::default();
+            for v in 0..n {
+                compute(&mut scratch, batch, v, v);
+            }
+            scratch.tally.flush(cm);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coloring::random_coloring;
+    use crate::engine::DpContext;
+    use fascia_table::{AnyTable, DenseTable, HashCountTable, LazyTable, Rows, TableKind};
+    use fascia_template::partition::NodeKind;
+    use fascia_template::{PartitionStrategy, PartitionTree, Template};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The frozen vertex-major scalar recurrence the batched kernel
+    /// replaced: per-vertex probes one color set at a time, one boxed row
+    /// per active vertex, restricted to `job.owned` when given. This is
+    /// the arithmetic [`cut_batch`] must reproduce bit for bit.
+    fn cut_rows_ref<N: Neighbors, T: CountTable>(g: &N, job: &CutJob<'_, '_, T>) -> Rows {
+        let CutJob {
+            labels,
+            node,
+            a_node,
+            p_node,
+            act,
+            pas,
+            ctx,
+            coloring,
+            owned: targets,
+            ..
+        } = *job;
+        let h = node.size as usize;
+        let a = a_node.size as usize;
+        let p = p_node.size as usize;
+        let nc_h = ctx.nc[h];
+        let nc_p = ctx.nc[p];
+        let k = ctx.k;
+        let rem = if a == 1 {
+            Some(&ctx.removals[&node.size][..])
+        } else {
+            None
+        };
+        let split = if a > 1 {
+            Some(&ctx.splits[&(node.size, a_node.size)])
+        } else {
+            None
+        };
+
+        let compute = |pas_acc: &mut Vec<f64>, v: usize| -> Option<Box<[f64]>> {
+            let act_tb: Option<&T> = match act {
+                Stored::Single { label } => {
+                    if let (Some(l), Some(gl)) = (label, labels) {
+                        if gl[v] != *l {
+                            return None;
+                        }
+                    }
+                    None
+                }
+                Stored::Table(tb) => {
+                    if !tb.vertex_active(v) {
+                        return None;
+                    }
+                    Some(tb)
+                }
+            };
+
+            pas_acc.clear();
+            pas_acc.resize(nc_p, 0.0);
+            let mut any = false;
+            match pas {
+                Stored::Single { label } => {
+                    for &u in g.neighbors(v) {
+                        let u = u as usize;
+                        if let (Some(l), Some(gl)) = (label, labels) {
+                            if gl[u] != *l {
+                                continue;
+                            }
+                        }
+                        pas_acc[coloring[u] as usize] += 1.0;
+                        any = true;
+                    }
+                }
+                Stored::Table(tb) => {
+                    for &u in g.neighbors(v) {
+                        let u = u as usize;
+                        if !tb.vertex_active(u) {
+                            continue;
+                        }
+                        any = true;
+                        for (cs, acc) in pas_acc.iter_mut().enumerate() {
+                            *acc += tb.get(u, cs);
+                        }
+                    }
+                }
+            }
+            if !any {
+                return None;
+            }
+
+            let mut row = vec![0.0f64; nc_h].into_boxed_slice();
+            let mut nonzero = false;
+            match (act_tb, rem, split) {
+                (None, Some(rem), _) => {
+                    let cv = coloring[v] as usize;
+                    for (i, slot) in row.iter_mut().enumerate() {
+                        let r = rem[i * k + cv];
+                        if r >= 0 {
+                            let val = pas_acc[r as usize];
+                            if val != 0.0 {
+                                *slot = val;
+                                nonzero = true;
+                            }
+                        }
+                    }
+                }
+                (Some(tb), _, Some(split)) => {
+                    for (i, slot) in row.iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        for sp in split.splits(i) {
+                            let a_val = tb.get(v, sp.active as usize);
+                            if a_val != 0.0 {
+                                acc += a_val * pas_acc[sp.passive as usize];
+                            }
+                        }
+                        if acc != 0.0 {
+                            *slot = acc;
+                            nonzero = true;
+                        }
+                    }
+                }
+                _ => unreachable!("active-single uses removals; larger actives use splits"),
+            }
+            nonzero.then_some(row)
+        };
+
+        let mut rows: Rows = Vec::new();
+        rows.resize_with(coloring.len(), || None);
+        let mut scratch = Vec::new();
+        match targets {
+            Some(list) => {
+                for &v in list {
+                    rows[v as usize] = compute(&mut scratch, v as usize);
+                }
+            }
+            None => {
+                for (v, row) in rows.iter_mut().enumerate() {
+                    *row = compute(&mut scratch, v);
+                }
+            }
+        }
+        rows
+    }
+
+    /// Random non-negative rows: some vertices inactive, some slots zero,
+    /// the rest fractional so addition order shows in the bits.
+    fn random_rows(rng: &mut SmallRng, n: usize, nc: usize) -> Rows {
+        let slot = |rng: &mut SmallRng| match rng.gen_range(0u8..3) {
+            0 => 0.0,
+            _ => rng.gen_range(0.0..4.0),
+        };
+        (0..n)
+            .map(|_| {
+                rng.gen_bool(0.7)
+                    .then(|| (0..nc).map(|_| slot(rng)).collect())
+            })
+            .collect()
+    }
+
+    /// A random child: the virtual single-vertex child (maybe labeled), or
+    /// a table of random rows in one of `kinds`' layouts.
+    fn random_child<T: CountTable>(
+        rng: &mut SmallRng,
+        n: usize,
+        size: u8,
+        ctx: &DpContext,
+        kinds: &[TableKind],
+    ) -> Stored<T> {
+        if size == 1 {
+            Stored::Single {
+                label: rng.gen_bool(0.5).then(|| rng.gen_range(0u8..2)),
+            }
+        } else {
+            let nc = ctx.nc[size as usize];
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            Stored::Table(T::from_rows_kind(kind, n, nc, random_rows(rng, n, nc)))
+        }
+    }
+
+    /// Every cut node of a random tree partition, with random child tables
+    /// of layout `T`, over `src`: the kernel must commit exactly the
+    /// reference's rows, bit for bit, for all vertices (serial and banded)
+    /// and for a random owned subset committed in arbitrary order.
+    fn check_cuts<N: Neighbors, T: CountTable>(
+        src: &N,
+        n: usize,
+        rng: &mut SmallRng,
+        kinds: &[TableKind],
+    ) {
+        let size = rng.gen_range(2usize..7);
+        let k = size + rng.gen_range(0usize..2);
+        let parents: Vec<u8> = (0..size - 1)
+            .map(|i| rng.gen_range(0..i + 1) as u8)
+            .collect();
+        let t = Template::from_parents(&parents).unwrap();
+        let strategy = if rng.gen_bool(0.5) {
+            PartitionStrategy::OneAtATime
+        } else {
+            PartitionStrategy::Balanced
+        };
+        let pt = PartitionTree::build(&t, strategy).unwrap();
+        let ctx = DpContext::new(&pt, k);
+        let coloring = random_coloring(n, k, rng.gen());
+        let labels: Option<Vec<u8>> = rng
+            .gen_bool(0.5)
+            .then(|| (0..n).map(|_| rng.gen_range(0u8..2)).collect());
+        for &idx in pt.unique_order() {
+            let node = &pt.nodes()[idx as usize];
+            let NodeKind::Cut { active, passive } = node.kind else {
+                continue;
+            };
+            let a_node = &pt.nodes()[active as usize];
+            let p_node = &pt.nodes()[passive as usize];
+            let act: Stored<T> = random_child(rng, n, a_node.size, &ctx, kinds);
+            let pas: Stored<T> = random_child(rng, n, p_node.size, &ctx, kinds);
+            let mut owned: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.4)).collect();
+            for i in (1..owned.len()).rev() {
+                owned.swap(i, rng.gen_range(0..i + 1));
+            }
+            let nc_h = ctx.nc[node.size as usize];
+            for (subset, inner) in [(false, false), (false, true), (true, false)] {
+                let job = CutJob {
+                    labels: labels.as_deref(),
+                    node,
+                    a_node,
+                    p_node,
+                    act: &act,
+                    pas: &pas,
+                    ctx: &ctx,
+                    coloring: &coloring,
+                    inner_parallel: inner,
+                    owned: subset.then_some(&owned[..]),
+                    cancel: None,
+                    cm: None,
+                };
+                let mut batch = RowBatch::new(n, nc_h);
+                cut_batch(src, &job, &mut batch);
+                let want = cut_rows_ref(src, &job);
+                let bits = |r: Option<&[f64]>| {
+                    r.map(|r| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                };
+                for (v, row) in want.iter().enumerate() {
+                    assert_eq!(
+                        bits(batch.row(v)),
+                        bits(row.as_deref()),
+                        "node {idx} owned={subset} inner={inner}: vertex {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_layout<N: Neighbors>(src: &N, n: usize, rng: &mut SmallRng, layout: usize) {
+        match layout {
+            0 => check_cuts::<N, DenseTable>(src, n, rng, &[TableKind::Dense]),
+            1 => check_cuts::<N, LazyTable>(src, n, rng, &[TableKind::Lazy]),
+            2 => check_cuts::<N, HashCountTable>(src, n, rng, &[TableKind::Hash]),
+            _ => check_cuts::<N, AnyTable>(src, n, rng, &TableKind::all()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The batched kernel against the scalar reference on random
+        /// child tables, every layout (and the budget-gated mixed-layout
+        /// `AnyTable`), labeled or not, over the undirected graph and both
+        /// arc directions of a directed one.
+        #[test]
+        fn cut_batch_matches_scalar_reference(seed in any::<u64>(), layout in 0usize..4) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(8usize..70);
+            let m = (n * rng.gen_range(1usize..5)).min(n * (n - 1) / 2);
+            let g = fascia_graph::gen::gnm(n, m, rng.gen());
+            check_layout(&g, n, &mut rng, layout);
+            let dg = DiGraph::orient_randomly(&g, rng.gen());
+            check_layout(&OutArcs(&dg), n, &mut rng, layout);
+            check_layout(&InArcs(&dg), n, &mut rng, layout);
+        }
     }
 }

@@ -38,7 +38,7 @@ pub mod enumerate;
 pub mod est;
 pub mod exact;
 pub mod gdd;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod mem;
 pub(crate) mod metrics;
 pub mod motifs;
@@ -55,7 +55,6 @@ pub use engine::{
     count_template, count_template_labeled, rooted_counts, CountConfig, CountError, CountResult,
 };
 pub use est::EstCollector;
-pub use kernel::KernelKind;
 pub use mem::{MemCollector, NodeMemStats};
 pub use parallel::ParallelMode;
 pub use progress::{Progress, ProgressConfig, ProgressSnapshot};

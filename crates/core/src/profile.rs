@@ -12,9 +12,8 @@
 //! (`iteration`, `coloring`, `wave`, `dp.n<idx>.<kind><size>`,
 //! `checkpoint.flush`) so a flamegraph and a Chrome trace of the same run
 //! speak the same vocabulary. The cut-node phases additionally split into
-//! `kernel.scalar` / `kernel.vectorized` (row computation) and
-//! `table.build` (consuming kernel output into the chosen layout), which
-//! is what the kernel A/B recipe in EXPERIMENTS.md compares.
+//! `kernel.vectorized` (row computation) and `table.build` (consuming
+//! kernel output into the chosen layout).
 
 use fascia_obs::{PhaseGuard, PhaseId, Profiler};
 use fascia_template::partition::NodeKind;
@@ -31,10 +30,8 @@ pub(crate) struct RunProf {
     /// nodes outside the unique evaluation order).
     pub node: Vec<Option<PhaseId>>,
     pub checkpoint_flush: PhaseId,
-    /// Scalar cut-kernel phase (nested inside the node phase), so a
-    /// flamegraph separates row computation from table construction.
-    pub kernel_scalar: PhaseId,
-    /// Vectorized cut-kernel phase (see `kernel` module).
+    /// Cut-kernel phase (nested inside the node phase), so a flamegraph
+    /// separates row computation from table construction.
     pub kernel_vectorized: PhaseId,
     /// Table-construction phase: consuming kernel output into the chosen
     /// layout.
@@ -64,7 +61,6 @@ impl RunProf {
             wave: profiler.intern("wave"),
             node,
             checkpoint_flush: profiler.intern("checkpoint.flush"),
-            kernel_scalar: profiler.intern("kernel.scalar"),
             kernel_vectorized: profiler.intern("kernel.vectorized"),
             table_build: profiler.intern("table.build"),
             profiler,

@@ -17,7 +17,7 @@
 
 use crate::coloring::{iteration_seed, random_coloring};
 use crate::engine::{
-    cut_rows, effective_colors, triangle_rows, CountConfig, CountError, DpContext, Stored,
+    effective_colors, retained_tables, CountConfig, CountError, DpContext, Stored,
 };
 use fascia_combin::set_of_index;
 use fascia_graph::Graph;
@@ -51,7 +51,7 @@ pub fn sample_embeddings(
     }
     let k = effective_colors(t, cfg)?;
     let pt = PartitionTree::build(t, cfg.strategy)?;
-    let ctx = DpContext::new(t, &pt, k);
+    let ctx = DpContext::new(&pt, k);
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x005A_3B17);
     let mut out = Vec::with_capacity(samples);
     if matches!(pt.root().kind, NodeKind::Vertex) {
@@ -66,7 +66,7 @@ pub fn sample_embeddings(
     while out.len() < samples && iteration < budget {
         let coloring = random_coloring(g.num_vertices(), k, iteration_seed(cfg.seed, iteration));
         iteration += 1;
-        let tables = build_retained_tables(g, t, &pt, &ctx, &coloring);
+        let tables = retained_tables(g, t, &pt, &ctx, &coloring);
         let sampler = Sampler {
             g,
             pt: &pt,
@@ -93,53 +93,6 @@ pub fn sample_embeddings(
         }
     }
     Ok(out)
-}
-
-/// Runs one DP pass keeping every canonical class's table alive.
-fn build_retained_tables(
-    g: &Graph,
-    t: &Template,
-    pt: &PartitionTree,
-    ctx: &DpContext,
-    coloring: &[u8],
-) -> Vec<Option<Stored<LazyTable>>> {
-    let n = g.num_vertices();
-    let mut stored: Vec<Option<Stored<LazyTable>>> = Vec::new();
-    stored.resize_with(pt.num_canon_classes(), || None);
-    for &idx in pt.unique_order() {
-        let node = &pt.nodes()[idx as usize];
-        let cid = node.canon_id as usize;
-        match node.kind {
-            NodeKind::Vertex => {
-                stored[cid] = Some(Stored::Single { label: None });
-            }
-            NodeKind::Triangle { partners } => {
-                let rows = triangle_rows(g, None, t, node, partners, ctx, coloring, false);
-                stored[cid] = Some(Stored::Table(LazyTable::from_rows(n, ctx.nc[3], rows)));
-            }
-            NodeKind::Cut { active, passive } => {
-                let a_node = &pt.nodes()[active as usize];
-                let p_node = &pt.nodes()[passive as usize];
-                let rows = {
-                    let act = stored[a_node.canon_id as usize]
-                        .as_ref()
-                        .expect("active computed");
-                    let pas = stored[p_node.canon_id as usize]
-                        .as_ref()
-                        .expect("passive computed");
-                    cut_rows(
-                        g, None, node, a_node, p_node, act, pas, ctx, coloring, false,
-                    )
-                };
-                stored[cid] = Some(Stored::Table(LazyTable::from_rows(
-                    n,
-                    ctx.nc[node.size as usize],
-                    rows,
-                )));
-            }
-        }
-    }
-    stored
 }
 
 struct Sampler<'a> {

@@ -1,6 +1,6 @@
 //! fascia-est/1 coverage from the outside: the estimator-observability
 //! rail must be observe-only (bitwise-identical `CountResult` with the
-//! collector absent vs. attached, across every parallel mode × kernel),
+//! collector absent vs. attached, across every parallel mode),
 //! its per-stratum variance shares must sum to ~100% within each
 //! taxonomy, and the document must survive the depth-capped parser.
 
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use fascia_core::resilience::Json;
 use fascia_core::stats::StopRule;
-use fascia_core::{count_template, CountConfig, EstCollector, KernelKind, ParallelMode};
+use fascia_core::{count_template, CountConfig, EstCollector, ParallelMode};
 use fascia_graph::gen::gnm;
 use fascia_template::Template;
 
@@ -16,8 +16,8 @@ fn get<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
     Json::get(v.as_obj()?, key)
 }
 
-/// The acceptance contract: for every parallel mode × kernel, attaching
-/// an estimator collector changes neither the final estimate nor the
+/// The acceptance contract: for every parallel mode, attaching an
+/// estimator collector changes neither the final estimate nor the
 /// iteration count nor any per-iteration value — bit for bit.
 #[test]
 fn est_instrumentation_does_not_change_counts() {
@@ -28,35 +28,29 @@ fn est_instrumentation_does_not_change_counts() {
         ParallelMode::InnerLoop,
         ParallelMode::OuterLoop,
     ] {
-        for kernel in [KernelKind::Scalar, KernelKind::Vectorized] {
-            let base = CountConfig {
-                iterations: 8,
-                parallel,
-                kernel,
-                seed: 4321,
-                ..CountConfig::default()
-            };
-            let collector = Arc::new(EstCollector::new());
-            let attached = CountConfig {
-                est: Some(Arc::clone(&collector)),
-                ..base.clone()
-            };
-            let off = count_template(&g, &t, &base).unwrap();
-            let on = count_template(&g, &t, &attached).unwrap();
-            assert_eq!(
-                off.estimate, on.estimate,
-                "estimate drifted ({parallel:?}/{kernel:?})"
-            );
-            assert_eq!(
-                off.iterations_run, on.iterations_run,
-                "iteration count drifted ({parallel:?}/{kernel:?})"
-            );
-            assert_eq!(
-                off.per_iteration, on.per_iteration,
-                "series drifted ({parallel:?}/{kernel:?})"
-            );
-            assert_eq!(collector.iterations(), on.iterations_run as u64);
-        }
+        let base = CountConfig {
+            iterations: 8,
+            parallel,
+            seed: 4321,
+            ..CountConfig::default()
+        };
+        let collector = Arc::new(EstCollector::new());
+        let attached = CountConfig {
+            est: Some(Arc::clone(&collector)),
+            ..base.clone()
+        };
+        let off = count_template(&g, &t, &base).unwrap();
+        let on = count_template(&g, &t, &attached).unwrap();
+        assert_eq!(off.estimate, on.estimate, "estimate drifted ({parallel:?})");
+        assert_eq!(
+            off.iterations_run, on.iterations_run,
+            "iteration count drifted ({parallel:?})"
+        );
+        assert_eq!(
+            off.per_iteration, on.per_iteration,
+            "series drifted ({parallel:?})"
+        );
+        assert_eq!(collector.iterations(), on.iterations_run as u64);
     }
 }
 

@@ -9,10 +9,11 @@
 //! consumes the arena directly (see [`crate::CountTable::from_batch_kind`]),
 //! so the hot loop performs **zero** per-row allocations.
 //!
-//! Committed rows live in the arena in commit order; the engine commits in
-//! ascending vertex order, which makes the arena identical to the
-//! colorset-major layout [`crate::LazyTable`] stores — its
-//! `from_batch` is a move, not a copy.
+//! Committed rows live in the arena in commit order. A full pass commits
+//! in ascending vertex order, which makes the arena identical to the
+//! colorset-major layout [`crate::LazyTable`] stores — its `from_batch` is
+//! a move, not a copy. Passes over owned-vertex subsets may commit in any
+//! order ([`RowBatch::in_vertex_order`] tells them apart).
 
 use crate::Rows;
 
@@ -170,6 +171,16 @@ impl RowBatch {
         }
         assert_eq!(out.slots.len(), n, "bands must cover every vertex");
         out
+    }
+
+    /// Whether the arena holds the committed rows in ascending vertex
+    /// order (true for every full pass).
+    pub fn in_vertex_order(&self) -> bool {
+        self.slots
+            .iter()
+            .filter(|&&s| s != NO_ROW)
+            .enumerate()
+            .all(|(i, &s)| s as usize == i)
     }
 
     /// Converts to the boxed per-vertex representation (the compatibility

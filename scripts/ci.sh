@@ -62,16 +62,6 @@ mkdir -p results/perf
 ./target/release/perf compare scripts/perf_baseline.json results/perf/smoke.json \
   --threshold 2.0
 
-# Kernel A/B gate: both kernels run rep-interleaved in one process
-# (`perf ab`), which cancels machine drift out of the ratio. Gate only
-# the hash smoke cell — its vectorized margin (measured 1.5-1.7x) clears
-# 1.2x with room to spare, while the naive/improved smoke margins sit
-# inside VM noise (ratio-only: 5-rep smoke cells are too small for the
-# significance test). Guards the vectorized kernel against silently
-# degrading back to scalar speed.
-echo "=== kernel speedup gate ==="
-./target/release/perf ab --smoke --reps 5 --warmup 2 --filter hash --min 1.2 --quiet
-
 # Memory-observability gate: a tiny counting run under --mem-stats must
 # emit a fascia-mem/1 document (its own stdout line AND the --mem-out
 # file), and `fascia report` must render the run directory to both the

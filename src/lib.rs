@@ -49,7 +49,6 @@ pub mod prelude {
     };
     pub use fascia_core::exact::{count_exact, count_exact_labeled, enumerate_embeddings};
     pub use fascia_core::gdd::{estimate_gdd, gdd_agreement, GddHistogram};
-    pub use fascia_core::kernel::KernelKind;
     pub use fascia_core::motifs::{motif_profile, MotifProfile};
     pub use fascia_core::parallel::{with_threads, ParallelMode};
     pub use fascia_core::progress::{Progress, ProgressConfig, ProgressSnapshot};
