@@ -22,6 +22,15 @@ cargo test -q --workspace --offline
 echo "=== resilience & fault-injection suites ==="
 cargo test -q --offline --test resilience --test fault_injection
 
+# Release-mode kernel bitwise gate: the suite above runs debug builds,
+# but the kernel's vertex-blocked MAC is vectorized only under
+# optimization. The node-level proptest and the entry-point golden must
+# also hold bit for bit in a release build.
+echo "=== release-mode kernel bitwise gate ==="
+cargo test -q --release --offline -p fascia-core --lib -- \
+  kernel::tests::cut_batch_matches_scalar_reference
+cargo test -q --release --offline --test kernel_equivalence
+
 # Observability gate: a real count run with --trace must produce valid
 # Perfetto-loadable JSON (parsed with the depth-capped parser, monotone
 # per-tid timestamps), the heartbeat file must keep its stable shape,
