@@ -2277,6 +2277,40 @@ mod internal_tests {
         }
     }
 
+    /// The kernel's color-major pair lists hold exactly the removal
+    /// table's member entries for each color, `C(k-1, h-1)` per color,
+    /// with both the set index and the reduced index strictly ascending
+    /// (so the combine's reads and writes run sequentially).
+    #[test]
+    fn removal_pairs_are_color_major_rem() {
+        let binom = BinomialTable::new(fascia_combin::MAX_COLORS);
+        for k in 2..=12usize {
+            for h in 2..=k {
+                let rem = build_removal_table(k, h, &binom);
+                let pairs = crate::kernel::removal_pairs(&rem, k);
+                assert_eq!(pairs.len(), k);
+                for (c, list) in pairs.iter().enumerate() {
+                    let want: Vec<(u32, u32)> = (0..rem.len() / k)
+                        .filter(|&i| rem[i * k + c] != -1)
+                        .map(|i| (i as u32, rem[i * k + c] as u32))
+                        .collect();
+                    assert_eq!(list, &want, "k={k} h={h} c={c}");
+                    assert_eq!(list.len(), choose(k - 1, h - 1) as usize);
+                    for w in list.windows(2) {
+                        assert!(
+                            w[0].0 < w[1].0,
+                            "set index not ascending: k={k} h={h} c={c}"
+                        );
+                        assert!(
+                            w[0].1 < w[1].1,
+                            "reduced index not ascending: k={k} h={h} c={c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The DP context builds exactly the index tables the partition needs.
     #[test]
     fn context_builds_needed_tables_only() {

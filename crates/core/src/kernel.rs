@@ -313,11 +313,9 @@ pub(crate) fn cut_batch<'t, N: Neighbors, T: CountTable>(
     let nc_p = ctx.nc[p];
     let nc_a = ctx.nc[a];
     let k = ctx.k;
-    let rem = if a == 1 {
-        Some(&ctx.removals[&node.size][..])
-    } else {
-        None
-    };
+    // Kernel scratch shared read-only by every worker, rebuilt per call
+    // like the per-worker buffers rather than kept in the context.
+    let pairs = (a == 1).then(|| removal_pairs(&ctx.removals[&node.size], k));
     let pos = if a > 1 {
         Some(&ctx.pos_splits[&(node.size, a_node.size)])
     } else {
@@ -478,7 +476,7 @@ pub(crate) fn cut_batch<'t, N: Neighbors, T: CountTable>(
     // its own monomorphized pass loop. `v` is the global vertex id,
     // `slot_v` its id within `batch` (differs only for the banded parallel
     // path).
-    match (pos, rem) {
+    match (pos, &pairs) {
         (Some(pos), _) => {
             // Vertex-blocked: queue up to LANES vertices, then run the
             // position-major MAC once for the whole block (DESIGN.md §15).
@@ -507,25 +505,22 @@ pub(crate) fn cut_batch<'t, N: Neighbors, T: CountTable>(
                 |scratch: &mut Scratch<'t>, batch: &mut RowBatch| scratch.block.flush(pos, batch),
             );
         }
-        (None, Some(rem)) => {
+        (None, Some(pairs)) => {
             // Active is the bare root vertex: the only live color set for
-            // it is {color(v)} — look up C \ {color(v)} directly into a
-            // staged arena row (zeroed by `stage`).
+            // it is {color(v)}, so row[C] = pas_acc[C \ {color(v)}] for the
+            // sets C holding color(v) — walked from that color's pair list
+            // into a staged arena row (zeroed by `stage`).
             let removal = |scratch: &mut Scratch<'t>, batch: &mut RowBatch, v: usize, slot_v| {
                 if gather(scratch, v).is_none() {
                     return;
                 }
-                let cv = coloring[v] as usize;
                 let row = batch.stage();
                 let mut nonzero = false;
-                for (i, slot) in row.iter_mut().enumerate() {
-                    let r = rem[i * k + cv];
-                    if r >= 0 {
-                        let val = scratch.pas_acc[r as usize];
-                        if val != 0.0 {
-                            *slot = val;
-                            nonzero = true;
-                        }
+                for &(i, j) in &pairs[coloring[v] as usize] {
+                    let val = scratch.pas_acc[j as usize];
+                    if val != 0.0 {
+                        row[i as usize] = val;
+                        nonzero = true;
                     }
                 }
                 if nonzero {
@@ -544,6 +539,23 @@ pub(crate) fn cut_batch<'t, N: Neighbors, T: CountTable>(
         }
         (None, None) => unreachable!("active-single uses removals; larger actives use splits"),
     }
+}
+
+/// The color-major view of a removal table `rem` over `k` colors: list
+/// `c` holds the pairs `(I, J)` with `rem[I·k + c] = J ≥ 0`, i.e. every
+/// set `I` containing `c` with the index `J` of `I \ {c}`. Adding `c` to
+/// the sets that lack it preserves colex order, so both columns ascend;
+/// each list has `C(k-1, h-1)` entries. Built in one pass over `rem`.
+pub(crate) fn removal_pairs(rem: &[i32], k: usize) -> Vec<Vec<(u32, u32)>> {
+    let mut pairs = vec![Vec::new(); k];
+    for (i, set) in rem.chunks_exact(k).enumerate() {
+        for (list, &j) in pairs.iter_mut().zip(set) {
+            if j >= 0 {
+                list.push((i as u32, j as u32));
+            }
+        }
+    }
+    pairs
 }
 
 /// Runs one combine path over a pass's vertices: `owned` in list order,

@@ -107,6 +107,20 @@ impl HashCountTable {
         self.probe.probes += chain;
         self.probe.max_probe = self.probe.max_probe.max(chain);
     }
+
+    /// [`CountTable::add_row_into`] for an active row, one probe per key
+    /// in ascending colorset order, with every probe chain recorded as
+    /// [`CountTable::get`] records it.
+    fn add_row_probed(&self, v: usize, acc: &mut [f64], rec: &AccessRecorder) {
+        for (cs, a) in acc.iter_mut().enumerate() {
+            let (slot, chain) = self.slot_of_counted((v * self.nc + cs) as u64);
+            rec.note_get(v);
+            rec.note_probe(chain);
+            if let Some(i) = slot {
+                *a += self.vals[i];
+            }
+        }
+    }
 }
 
 impl CountTable for HashCountTable {
@@ -231,12 +245,19 @@ impl CountTable for HashCountTable {
         false
     }
 
-    /// Batched row accumulation: the keys of one row are consecutive
-    /// (`v*nc .. v*nc+nc`), and `key mod size` maps consecutive keys to
-    /// consecutive home slots — so the division happens once per row and
-    /// each subsequent home slot is a wrapping increment. Probe chains and
-    /// results are identical to `nc` separate [`CountTable::get`] calls.
+    /// Row accumulation by one pass over the row's home window. The keys
+    /// of row `v` are consecutive (`v*nc .. v*nc+nc`) and `key mod size`
+    /// maps them to consecutive home slots, so every one of them lies in
+    /// the `nc + max_probe - 1` slots from `(v*nc) mod size` (wrapping
+    /// once); a slot whose key `k` has `k - v*nc < nc` is row `v`'s entry
+    /// for that colorset. Keys are unique, so each `acc` slot receives at
+    /// most one add and the order across slots is free; an absent key adds
+    /// nothing, which equals the per-slot default's `+0.0` add on an
+    /// accumulator that holds no `-0.0`. With an access recorder attached
+    /// the row is probed key by key instead, so the probe telemetry stays
+    /// that of `nc` separate [`CountTable::get`] calls.
     fn add_row_into(&self, v: usize, acc: &mut [f64]) {
+        debug_assert!(acc.len() <= self.nc, "accumulator wider than a row");
         if !self.active[v] {
             if let Some(rec) = &self.access {
                 // The per-slot default would hit the inactive check once
@@ -247,34 +268,23 @@ impl CountTable for HashCountTable {
             }
             return;
         }
+        if let Some(rec) = &self.access {
+            self.add_row_probed(v, acc, rec);
+            return;
+        }
         let base = (v * self.nc) as u64;
-        let mut home = (base % self.capacity as u64) as usize;
-        for (cs, a) in acc.iter_mut().enumerate() {
-            let key = base + cs as u64;
-            let mut i = home;
-            let mut chain = 1u64;
-            loop {
-                let k = self.keys[i];
-                if k == key {
-                    *a += self.vals[i];
-                    break;
+        let width = acc.len() as u64;
+        let home = (base % self.capacity as u64) as usize;
+        // An active row means at least one insert, so `max_probe >= 1`.
+        let len = (self.nc + self.probe.max_probe as usize - 1).min(self.capacity);
+        let head = home..(home + len).min(self.capacity);
+        let wrapped = 0..len - head.len();
+        for range in [head, wrapped] {
+            for (&key, &val) in self.keys[range.clone()].iter().zip(&self.vals[range]) {
+                let d = key.wrapping_sub(base);
+                if d < width {
+                    acc[d as usize] += val;
                 }
-                if k == EMPTY {
-                    break;
-                }
-                chain += 1;
-                i += 1;
-                if i == self.capacity {
-                    i = 0;
-                }
-            }
-            if let Some(rec) = &self.access {
-                rec.note_get(v);
-                rec.note_probe(chain);
-            }
-            home += 1;
-            if home == self.capacity {
-                home = 0;
             }
         }
     }
@@ -411,6 +421,127 @@ mod tests {
         for v in 0..n {
             for cs in 0..nc {
                 assert_eq!(t.get(v, cs), (v * nc + cs) as f64 + 0.5);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod window_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    /// Property-test cases of `add_row_into_matches_per_slot_get`.
+    const CASES: u32 = 64;
+
+    thread_local! {
+        /// Cases run so far on this thread.
+        static CASES_RUN: Cell<u32> = const { Cell::new(0) };
+        /// Over this thread's cases that built their table with no access
+        /// recorder (the window path): `[cases, wrapping window,
+        /// window covering the whole table, max_probe >= 8]`.
+        static WINDOW_HITS: Cell<[u32; 4]> = const { Cell::new([0; 4]) };
+    }
+
+    /// Random rows of `n × nc` with each slot live at `density`; live
+    /// values are fractional so a misplaced add shows in the bits.
+    fn random_rows(rng: &mut SmallRng, n: usize, nc: usize, density: f64) -> Rows {
+        (0..n)
+            .map(|_| {
+                rng.gen_bool(0.8).then(|| {
+                    (0..nc)
+                        .map(|_| match rng.gen_bool(density) {
+                            true => rng.gen_range(0.001..4.0),
+                            false => 0.0,
+                        })
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    /// The same rows staged into a [`RowBatch`] in vertex order.
+    fn batch_of(n: usize, nc: usize, rows: &Rows) -> RowBatch {
+        let mut batch = RowBatch::new(n, nc);
+        for (v, row) in rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            batch.stage().copy_from_slice(row);
+            if row.iter().any(|&x| x != 0.0) {
+                batch.commit(v);
+            }
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        /// `add_row_into` leaves exactly the bits of `acc[cs] += get(v,
+        /// cs)` over every `cs`, for tables built from rows and from a
+        /// batch, at row densities from 0.5% to 60%, into accumulators
+        /// starting at +0.0 or at random non-negative values. After the
+        /// last case, the recorder-free cases must have run a window that
+        /// wraps past the end of the table, one that covers the whole
+        /// table, and one over a probe chain of at least 8 — and there
+        /// must have been such cases at all: another test in this binary
+        /// flips the global tracking flag, and a table built meanwhile
+        /// takes the recorded per-key path.
+        #[test]
+        fn add_row_into_matches_per_slot_get(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..80);
+            let nc = rng.gen_range(1usize..48);
+            let density = 0.005 * 120f64.powf(rng.gen_range(0.0..1.0));
+            let rows = random_rows(&mut rng, n, nc, density);
+            let table = match rng.gen_bool(0.5) {
+                true => HashCountTable::from_rows(n, nc, rows.clone()),
+                false => HashCountTable::from_batch_kind(TableKind::Hash, batch_of(n, nc, &rows)),
+            };
+            let prefill = rng.gen_bool(0.5);
+            for v in 0..n {
+                let start: Vec<f64> = (0..nc)
+                    .map(|_| match prefill && rng.gen_bool(0.7) {
+                        true => rng.gen_range(0.0..4.0),
+                        false => 0.0,
+                    })
+                    .collect();
+                let mut got = start.clone();
+                table.add_row_into(v, &mut got);
+                let mut want = start;
+                for (cs, a) in want.iter_mut().enumerate() {
+                    *a += table.get(v, cs);
+                }
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "v={} n={} nc={}", v, n, nc);
+            }
+            if table.access.is_none() {
+                let cap = table.capacity;
+                let max_probe = table.probe.max_probe as usize;
+                let len = (nc + max_probe).saturating_sub(1).min(cap);
+                let wraps = (0..n).any(|v| table.active[v] && (v * nc) % cap + len > cap);
+                let whole = table.live > 0 && nc + max_probe > cap;
+                WINDOW_HITS.with(|h| {
+                    let mut hits = h.get();
+                    hits[0] += 1;
+                    hits[1] += wraps as u32;
+                    hits[2] += whole as u32;
+                    hits[3] += (max_probe >= 8) as u32;
+                    h.set(hits);
+                });
+            }
+            let run = CASES_RUN.with(|c| {
+                c.set(c.get() + 1);
+                c.get()
+            });
+            if run == CASES {
+                let [cases, wraps, whole, long] = WINDOW_HITS.with(|h| h.get());
+                prop_assert!(cases > 0, "every case ran with a recorder attached");
+                prop_assert!(wraps > 0, "no window wrapped past the end of the table");
+                prop_assert!(whole > 0, "no window covered the whole table");
+                prop_assert!(long > 0, "no probe chain reached 8");
             }
         }
     }

@@ -269,12 +269,13 @@ pub trait CountTable: Send + Sync + Sized {
         true
     }
 
-    /// Adds vertex `v`'s whole row into `acc` slot-by-slot, equivalent to
-    /// `acc[cs] += self.get(v, cs)` for every `cs` in `0..acc.len()`, in
-    /// ascending `cs` order. Layouts without contiguous rows override this
-    /// with a batched probe (the hashed layout amortizes one hash
-    /// computation over the row's consecutive keys); results are bitwise
-    /// identical to the per-slot default.
+    /// Adds vertex `v`'s whole row into `acc`, equivalent to
+    /// `acc[cs] += self.get(v, cs)` for every `cs` in `0..acc.len()`.
+    /// Each slot receives at most one add, so the order across slots is
+    /// free. Layouts may override this (the hashed layout scans the row's
+    /// home window once and skips absent keys); the result must be
+    /// bitwise identical to the per-slot default for every `acc` that
+    /// holds no `-0.0` — skipping a `+0.0` add changes only a `-0.0`.
     fn add_row_into(&self, v: usize, acc: &mut [f64]) {
         for (cs, a) in acc.iter_mut().enumerate() {
             *a += self.get(v, cs);
