@@ -11,9 +11,8 @@
 //! benchmark regressed — the contract `scripts/ci.sh` gates on.
 //!
 //! Environment: `FASCIA_PERF_SLEEP_MS=<ms>` injects a synthetic sleep
-//! into every DP step of `run` (via `FaultInjection::sleep_in_dp`),
-//! which exists so the regression gate itself can be validated end to
-//! end.
+//! into every DP step of `run` (a chaos stall that always fires), which
+//! exists so the regression gate itself can be validated end to end.
 //!
 //! Exit codes: 0 success / no regression, 1 significant regression,
 //! 2 usage error, 3 I/O error.

@@ -45,15 +45,17 @@
 //! largest measured live DP-table footprint across the record's reps (0
 //! from producers that predate the field — the schema stays additive).
 
+use fascia_core::chaos::{Chaos, ChaosSpec};
 use fascia_core::engine::{count_template, CountConfig};
 use fascia_core::parallel::ParallelMode;
-use fascia_core::resilience::{FaultInjection, Json};
+use fascia_core::resilience::Json;
 use fascia_graph::gen::gnm;
 use fascia_graph::Graph;
 use fascia_obs::json::{array_of, write_f64, ObjectWriter};
 use fascia_table::TableKind;
 use fascia_template::{NamedTemplate, Template};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 /// Schema tag of every perf document this module reads or writes.
@@ -747,9 +749,9 @@ pub struct SuiteOpts {
     pub smoke: bool,
     /// Substring filter on benchmark ids.
     pub filter: Option<String>,
-    /// Synthetic slowdown injected into every DP step via
-    /// [`FaultInjection::sleep_in_dp`] — exists to prove the compare gate
-    /// catches a real regression (`FASCIA_PERF_SLEEP_MS` in the binary).
+    /// Synthetic slowdown injected into every DP step as a chaos stall
+    /// that always fires — exists to prove the compare gate catches a
+    /// real regression (`FASCIA_PERF_SLEEP_MS` in the binary).
     pub handicap: Option<Duration>,
     /// Per-benchmark progress lines on stderr.
     pub verbose: bool,
@@ -794,20 +796,31 @@ pub fn run_suite(opts: &SuiteOpts) -> PerfDoc {
             table: spec.table,
             parallel: spec.mode,
             seed: 0x00FA_5C1A,
-            fault: FaultInjection {
-                sleep_in_dp: opts.handicap,
-                ..FaultInjection::default()
-            },
             ..CountConfig::default()
         };
+        // A fresh schedule per call keeps the stall event log bounded.
+        let count = || {
+            let chaos = opts.handicap.map(|stall| {
+                Arc::new(Chaos::new(ChaosSpec {
+                    stall_prob: 1.0,
+                    stall,
+                    ..ChaosSpec::default()
+                }))
+            });
+            let cfg = CountConfig {
+                chaos,
+                ..cfg.clone()
+            };
+            count_template(g, &template, &cfg).expect("suite workload must count")
+        };
         for _ in 0..opts.warmup {
-            let _ = count_template(g, &template, &cfg).expect("suite workload must count");
+            let _ = count();
         }
         let mut reps_s = Vec::with_capacity(opts.reps.max(1));
         let mut peak_table_bytes = 0u64;
         for _ in 0..opts.reps.max(1) {
             let start = Instant::now();
-            let r = count_template(g, &template, &cfg).expect("suite workload must count");
+            let r = count();
             let secs = start.elapsed().as_secs_f64();
             // Keep the estimate alive so the count cannot be optimized out.
             assert!(r.estimate.is_finite());

@@ -1,10 +1,10 @@
 //! Deterministic, seed-scheduled chaos injection (DESIGN.md §16).
 //!
-//! [`FaultInjection`](crate::resilience::FaultInjection) can crash one
-//! exact iteration; that is enough for unit tests but not for soak
-//! testing a long-running service, where faults must arrive *randomly yet
+//! The engine's only fault-injection layer. Tests pin single faults with
+//! the deterministic keys (`panic_at`, `cancel_at`, `stall=1`); soak
+//! testing a long-running service needs faults that arrive *randomly yet
 //! reproducibly* across thousands of iterations, IO operations, and
-//! retry attempts. This module generalizes the hook into a schedule:
+//! retry attempts. Both are one schedule:
 //!
 //! * every potential fault site is addressed by a stable coordinate
 //!   (site, run, iteration, attempt),
@@ -33,6 +33,7 @@
 //! | `seed=U`      | schedule seed (default 0)                                  |
 //! | `panic=P`     | per-(run,iteration,attempt) worker panic probability       |
 //! | `panic_at=N`  | always panic the first attempt of iteration N of run 0     |
+//! | `cancel_at=N` | cancel the run's token right before iteration N of run 0   |
 //! | `io=P`        | per-operation injected IO error probability (all sites)    |
 //! | `io_ckpt=P`   | checkpoint-save override                                   |
 //! | `io_graph=P`  | graph-load override                                        |
@@ -40,7 +41,7 @@
 //! | `stall=P`     | per-(run,iteration) DP stall probability                   |
 //! | `stall_ms=M`  | stall duration in milliseconds (default 10)                |
 //! | `squeeze=P`   | per-run memory-budget squeeze probability                  |
-//! | `squeeze_shift=S` | squeeze divides the budget by `2^S` (default 1)        |
+//! | `squeeze_shift=S` | squeeze divides the budget by `2^S` (default 1, below the `usize` bit width) |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -79,8 +80,12 @@ pub struct ChaosSpec {
     /// Worker-panic probability per (run, iteration, attempt).
     pub panic_prob: f64,
     /// Deterministic single panic: first attempt of this iteration of
-    /// run 0 (the generalization of `FaultInjection::panic_on_iteration`).
+    /// run 0 (the retry runs clean), exercising panic isolation.
     pub panic_at: Option<usize>,
+    /// Deterministic cancellation: cancel the run's token right before
+    /// this iteration of run 0, exercising mid-run cancellation and the
+    /// final checkpoint flush.
+    pub cancel_at: Option<usize>,
     /// Injected-IO-error probability per operation, per site.
     pub io_ckpt_prob: f64,
     /// See [`ChaosSpec::io_ckpt_prob`].
@@ -93,7 +98,8 @@ pub struct ChaosSpec {
     pub stall: Duration,
     /// Memory-budget squeeze probability per run.
     pub squeeze_prob: f64,
-    /// A fired squeeze divides the budget by `2^squeeze_shift`.
+    /// A fired squeeze divides the budget by `2^squeeze_shift`; the
+    /// parser keeps it below `usize::BITS`.
     pub squeeze_shift: u32,
 }
 
@@ -103,6 +109,7 @@ impl Default for ChaosSpec {
             seed: 0,
             panic_prob: 0.0,
             panic_at: None,
+            cancel_at: None,
             io_ckpt_prob: 0.0,
             io_graph_prob: 0.0,
             io_result_prob: 0.0,
@@ -151,6 +158,7 @@ impl std::str::FromStr for ChaosSpec {
                 "seed" => spec.seed = value.parse().map_err(|_| bad())?,
                 "panic" => spec.panic_prob = prob()?,
                 "panic_at" => spec.panic_at = Some(value.parse().map_err(|_| bad())?),
+                "cancel_at" => spec.cancel_at = Some(value.parse().map_err(|_| bad())?),
                 "io" => {
                     let p = prob()?;
                     spec.io_ckpt_prob = p;
@@ -163,7 +171,11 @@ impl std::str::FromStr for ChaosSpec {
                 "stall" => spec.stall_prob = prob()?,
                 "stall_ms" => spec.stall = Duration::from_millis(value.parse().map_err(|_| bad())?),
                 "squeeze" => spec.squeeze_prob = prob()?,
-                "squeeze_shift" => spec.squeeze_shift = value.parse().map_err(|_| bad())?,
+                // The engine shifts a `usize` budget by it.
+                "squeeze_shift" => {
+                    let shift = value.parse().ok().filter(|&s| s < usize::BITS);
+                    spec.squeeze_shift = shift.ok_or_else(bad)?;
+                }
                 other => {
                     return Err(ChaosParseError(format!("unknown key {other:?}")));
                 }
@@ -301,6 +313,17 @@ impl ChaosRun {
         fired
     }
 
+    /// Whether to cancel the run right before `iteration` (`cancel_at`,
+    /// run 0 only).
+    pub fn should_cancel(&self, iteration: usize) -> bool {
+        let fired = self.chaos.spec.cancel_at == Some(iteration) && self.run == 0;
+        if fired {
+            self.chaos
+                .record(format!("cancel run={} iter={iteration}", self.run));
+        }
+        fired
+    }
+
     /// An injected IO error for this operation, if the schedule says so.
     /// `op` distinguishes successive operations at the same site within a
     /// run (e.g. the engine passes the checkpoint flush ordinal).
@@ -364,9 +387,13 @@ mod tests {
 
     #[test]
     fn parses_full_spec() {
-        let s = spec("seed=7, panic=0.05, io=0.1, stall=0.2, stall_ms=5, squeeze=0.25");
+        let s = spec(
+            "seed=7, panic=0.05, panic_at=2, cancel_at=4, io=0.1, stall=0.2, stall_ms=5, squeeze=0.25",
+        );
         assert_eq!(s.seed, 7);
         assert_eq!(s.panic_prob, 0.05);
+        assert_eq!(s.panic_at, Some(2));
+        assert_eq!(s.cancel_at, Some(4));
         assert_eq!(s.io_ckpt_prob, 0.1);
         assert_eq!(s.io_graph_prob, 0.1);
         assert_eq!(s.io_result_prob, 0.1);
@@ -390,9 +417,12 @@ mod tests {
             "seed=x",
             "unknown=1",
             "stall_ms=-4",
+            "cancel_at=x",
+            "squeeze_shift=64",
         ] {
             assert!(bad.parse::<ChaosSpec>().is_err(), "accepted {bad:?}");
         }
+        assert_eq!(spec("squeeze_shift=63").squeeze_shift, 63);
         // Empty segments and whitespace are tolerated.
         assert_eq!(spec(""), ChaosSpec::default());
         assert_eq!(spec(" , "), ChaosSpec::default());
@@ -448,6 +478,17 @@ mod tests {
         assert!(!r.should_panic(2, 0));
         let r1 = c.begin_run();
         assert!(!r1.should_panic(3, 0), "panic_at applies to run 0 only");
+    }
+
+    #[test]
+    fn cancel_at_is_run_zero_only() {
+        let c = Arc::new(Chaos::new(spec("cancel_at=4")));
+        let r = c.begin_run();
+        assert!(!r.should_cancel(3));
+        assert!(r.should_cancel(4));
+        let r1 = c.begin_run();
+        assert!(!r1.should_cancel(4), "cancel_at applies to run 0 only");
+        assert_eq!(c.events(), ["cancel run=0 iter=4"]);
     }
 
     #[test]

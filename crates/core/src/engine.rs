@@ -28,24 +28,21 @@
 
 use crate::chaos::{Chaos, IoSite};
 use crate::coloring::{iteration_seed, random_coloring};
-use crate::est::{EstCollector, EstIterStrata, RunEst};
+use crate::est::{EstCollector, EstIterStrata};
+use crate::instruments::{Instruments, Phase, TraceMarks};
 use crate::kernel::{cut_batch, CutJob, InArcs, OutArcs};
-use crate::mem::{MemCollector, RunMem};
+use crate::mem::MemCollector;
 use crate::metrics::{RunMetrics, TriangleMetrics};
 use crate::parallel::ParallelMode;
-use crate::profile::RunProf;
 use crate::progress::{Progress, ProgressSnapshot};
-use crate::resilience::{
-    CancelToken, Checkpoint, CheckpointConfig, FaultInjection, StopCause, POLL_INTERVAL,
-};
+use crate::resilience::{CancelToken, Checkpoint, CheckpointConfig, StopCause, POLL_INTERVAL};
 use crate::stats::{EstimateStats, StopRule, Welford};
-use crate::trace::RunTrace;
 use fascia_combin::{
     colorful_probability, BinomialTable, ColorSetIter, PositionSplitTable, SplitTable,
 };
 use fascia_graph::digraph::DiGraph;
 use fascia_graph::Graph;
-use fascia_obs::{Metrics, Profiler, SpanTimer, Tracer};
+use fascia_obs::{Metrics, Profiler, Tracer};
 use fascia_table::{
     projected_bytes, AnyTable, CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, Rows,
     TableKind,
@@ -124,25 +121,23 @@ pub struct CountConfig {
     /// [`rooted_counts`].
     pub checkpoint: Option<CheckpointConfig>,
     /// Optional flight recorder. When present the engine records the run's
-    /// *timeline* — per-iteration and per-wave spans, per-subtemplate DP
-    /// spans, table build/fallback instants, checkpoint flush/resume,
-    /// cancellation and panic-retry events — into per-thread lock-free
-    /// rings (see the `trace` module for the event taxonomy). Export with
+    /// *timeline* — the trace spans of the phase table (DESIGN.md §8),
+    /// table build/fallback instants, checkpoint resume, cancellation and
+    /// panic-retry events — into per-thread lock-free rings. Export with
     /// [`Tracer::to_chrome_json`] (Perfetto-loadable) or embed
     /// [`Tracer::summary_json`] in the metrics report. `None` costs one
     /// pointer check per site; ring overflow increments a drop counter and
     /// never changes a counting result.
     pub tracer: Option<Arc<Tracer>>,
     /// Optional sampling profiler. When present the engine publishes its
-    /// current phase (`iteration` → `coloring` / per-subtemplate
-    /// `dp.n<idx>.<kind><size>` spans, plus `wave` and
-    /// `checkpoint.flush`) into the profiler's per-thread phase slots, so
-    /// the watcher thread can attribute wall time to engine phases with
-    /// flamegraph-compatible output (see [`Profiler::collapsed`]). The
-    /// caller owns the watcher lifecycle ([`Profiler::start`] /
-    /// [`Profiler::stop`]); publication alone is one relaxed store + one
-    /// release add per phase boundary and never changes a counting
-    /// result. `None` costs one pointer check per site.
+    /// current phase (every phase of the phase table, DESIGN.md §8) into
+    /// the profiler's per-thread phase slots, so the watcher thread can
+    /// attribute wall time to engine phases with flamegraph-compatible
+    /// output (see [`Profiler::collapsed`]). The caller owns the watcher
+    /// lifecycle ([`Profiler::start`] / [`Profiler::stop`]); publication
+    /// alone is one relaxed store + one release add per phase boundary and
+    /// never changes a counting result. `None` costs one pointer check per
+    /// site.
     pub profiler: Option<Arc<Profiler>>,
     /// Optional live-progress reporter, driven at wave barriers with the
     /// iteration count, running estimate, and (for adaptive rules) the
@@ -159,26 +154,26 @@ pub struct CountConfig {
     /// [`CountConfig::checkpoint`]: the checkpoint format stores the scalar
     /// series only.
     pub resume: Option<Checkpoint>,
-    /// Deterministic fault hooks for tests; the default injects nothing.
-    pub fault: FaultInjection,
-    /// Optional seed-scheduled chaos layer ([`crate::chaos`]). Each
-    /// counting run claims a run index with [`Chaos::begin_run`] and then
-    /// consults the schedule for worker panics (per iteration/attempt),
-    /// injected checkpoint-write IO errors, DP stalls, and memory-budget
-    /// squeezes. All decisions are pure functions of the schedule seed
-    /// and fault coordinates, so a replay with the same spec and job
-    /// order reproduces the identical event sequence. Every entry point
-    /// that runs the shared iteration driver ([`count_template`],
+    /// Optional seed-scheduled chaos layer ([`crate::chaos`]), the
+    /// engine's fault-injection hook. Each counting run claims a run index
+    /// with [`Chaos::begin_run`] and then consults the schedule for worker
+    /// panics (per iteration/attempt), cancellation, injected
+    /// checkpoint-write IO errors, DP stalls, and memory-budget squeezes.
+    /// All decisions are pure functions of the schedule seed and fault
+    /// coordinates, so a replay with the same spec and job order
+    /// reproduces the identical event sequence. Every entry point that
+    /// runs the shared iteration driver ([`count_template`],
     /// [`rooted_counts`], [`crate::directed::count_directed`]) honors it.
     pub chaos: Option<Arc<Chaos>>,
     /// Optional memory-observability collector. When present the engine
-    /// attributes allocator traffic to the shared phase taxonomy (effective
-    /// when the binary installed [`fascia_obs::CountingAlloc`]) and folds
-    /// every released DP table's storage/access statistics into the
-    /// collector, from which [`MemCollector::to_json`] renders the
-    /// `fascia-mem/1` document. Purely observational: counting results are
-    /// bitwise identical with it absent, attached, or fully enabled.
-    /// `None` costs one pointer check per site.
+    /// attributes allocator traffic to the phase table's allocator phases
+    /// (DESIGN.md §8; effective when the binary installed
+    /// [`fascia_obs::CountingAlloc`]) and folds every released DP table's
+    /// storage/access statistics into the collector, from which
+    /// [`MemCollector::to_json`] renders the `fascia-mem/1` document.
+    /// Purely observational: counting results are bitwise identical with
+    /// it absent, attached, or fully enabled. `None` costs one pointer
+    /// check per site.
     pub mem: Option<Arc<MemCollector>>,
     /// Optional estimator-convergence collector. When present the engine
     /// feeds every finished iteration's scaled estimate (plus the running
@@ -248,7 +243,6 @@ impl Default for CountConfig {
             profiler: None,
             progress: None,
             resume: None,
-            fault: FaultInjection::default(),
             chaos: None,
             mem: None,
             est: None,
@@ -581,16 +575,13 @@ pub(crate) fn drive(
     let checkpoint = cfg.checkpoint.as_ref().filter(|_| !rooted);
     let resume = cfg.resume.as_ref().filter(|_| !rooted);
     let ctx = DpContext::new(pt, k);
-    let rm = RunMetrics::resolve(cfg.metrics.as_deref(), pt);
-    let tr = RunTrace::resolve(cfg.tracer.as_ref(), pt);
-    let pr = RunProf::resolve(cfg.profiler.as_ref(), pt);
-    let mm = RunMem::resolve(cfg.mem.as_ref(), pt);
-    let es = RunEst::resolve(cfg.est.as_ref(), (0..n).map(|v| src.degree(v)));
+    let ins = Instruments::resolve(cfg, pt, (0..n).map(|v| src.degree(v)));
+    let (rm, tr, es) = (ins.metrics.as_ref(), ins.trace.as_ref(), ins.est.as_ref());
     let p = colorful_probability(k, t.size());
     let scale = p * alpha as f64;
     let rule = cfg.stop_rule();
     let budget = rule.budget();
-    if let Some(e) = es.as_ref() {
+    if let Some(e) = es {
         // Resolve the stop-rule targets (or the library defaults for a
         // fixed run) and the AYZ a-priori bound once, so the document can
         // compare the observed trajectory against the guarantee.
@@ -622,23 +613,25 @@ pub(crate) fn drive(
         }
         None => &[],
     };
-    if resume.is_some() {
-        RunTrace::instant_opt(tr.as_ref(), |t| t.checkpoint_resume, resumed.len() as u64);
+    if let (Some(t), Some(_)) = (tr, resume) {
+        t.tracer.instant(t.checkpoint_resume, resumed.len() as u64);
     }
 
-    let fault = cfg.fault;
     // Each counting run claims one chaos run index; faults then address
     // (run, iteration, attempt) coordinates, so a supervisor retry rolls
     // fresh coordinates and injected faults stay transient.
     let chaos_run = cfg.chaos.as_ref().map(|c| c.begin_run());
-    // A fault that cancels needs a token even when the caller passed none.
-    let cancel: Option<CancelToken> = cfg
-        .cancel
-        .clone()
-        .or_else(|| fault.cancel_on_iteration.map(|_| CancelToken::new()));
+    // A schedule that cancels needs a token even when the caller passed
+    // none.
+    let cancel: Option<CancelToken> = cfg.cancel.clone().or_else(|| {
+        cfg.chaos
+            .as_ref()
+            .and_then(|c| c.spec().cancel_at)
+            .map(|_| CancelToken::new())
+    });
 
     let mode = cfg.parallel.resolve(n, budget);
-    if let Some(m) = &rm {
+    if let Some(m) = rm {
         m.threads.set(rayon::current_num_threads() as u64);
     }
     // Iterations run in waves; between waves the stop rule sees every
@@ -682,39 +675,18 @@ pub(crate) fn drive(
         cancel: cancel.as_ref(),
         want_row_sums: rooted,
         retain: false,
-        rm: rm.as_ref(),
-        tr: tr.as_ref(),
-        pr: pr.as_ref(),
-        mm: mm.as_ref(),
-        es: es.as_ref(),
+        ins: &ins,
     };
 
     let run_attempt = |i: usize, seed: u64| -> Result<IterationOutput, CountError> {
-        let iter_span = SpanTimer::start_opt(rm.as_ref().map(|m| &*m.iteration_ns));
-        let iter_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.iteration, i as u64);
-        let iter_ph = RunProf::enter_opt(pr.as_ref(), |p| p.iteration);
-        let iter_mph = RunMem::enter_opt(mm.as_ref(), |m| m.iteration);
-        let col_span = SpanTimer::start_opt(rm.as_ref().map(|m| &*m.coloring_ns));
-        let col_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.coloring, i as u64);
-        let col_ph = RunProf::enter_opt(pr.as_ref(), |p| p.coloring);
-        let col_mph = RunMem::enter_opt(mm.as_ref(), |m| m.coloring);
+        let iter_scope = ins.enter(Phase::Iteration, i as u64);
+        let col_scope = ins.enter(Phase::Coloring, i as u64);
         let coloring = random_coloring(n, k, iteration_seed(seed, i as u64));
-        drop(col_mph);
-        drop(col_ph);
-        drop(col_tspan);
-        drop(col_span);
-        // A scheduled DP stall rides the existing sleep hook so the slow
-        // path through the kernel needs no extra plumbing.
-        let mut eff_fault = fault;
-        if let Some(d) = chaos_run.as_ref().and_then(|c| c.dp_stall(i)) {
-            eff_fault.sleep_in_dp = Some(eff_fault.sleep_in_dp.map_or(d, |s| s + d));
-        }
-        let out = dispatch_iteration(&pass, &coloring, inner, eff_fault)?;
-        drop(iter_mph);
-        drop(iter_ph);
-        drop(iter_tspan);
-        drop(iter_span);
-        if let Some(m) = rm.as_ref() {
+        drop(col_scope);
+        let stall = chaos_run.as_ref().and_then(|c| c.dp_stall(i));
+        let out = dispatch_iteration(&pass, &coloring, inner, stall)?;
+        drop(iter_scope);
+        if let Some(m) = rm {
             m.iterations_total.inc();
             if out.colorful_total != 0.0 {
                 m.iterations_colorful.inc();
@@ -725,7 +697,7 @@ pub(crate) fn drive(
     };
     let run_one = |i: usize| -> Result<IterationOutput, CountError> {
         if let Some(tok) = &cancel {
-            if fault.cancel_on_iteration == Some(i) {
+            if chaos_run.as_ref().is_some_and(|c| c.should_cancel(i)) {
                 tok.cancel();
             }
             if tok.is_cancelled() {
@@ -733,9 +705,6 @@ pub(crate) fn drive(
             }
         }
         let first = catch_unwind(AssertUnwindSafe(|| {
-            if fault.panic_on_iteration == Some(i) {
-                panic!("injected fault at iteration {i}");
-            }
             if chaos_run.as_ref().is_some_and(|c| c.should_panic(i, 0)) {
                 panic!("chaos: scheduled worker panic at iteration {i}");
             }
@@ -748,11 +717,13 @@ pub(crate) fn drive(
                 // a panic poisons nothing shared: count it, retry once
                 // with an independent coloring seed, and only a second
                 // panic (a systematic bug, not a stray fault) propagates.
-                if let Some(m) = rm.as_ref() {
+                if let Some(m) = rm {
                     m.iterations_poisoned.inc();
                     m.iterations_retried.inc();
                 }
-                RunTrace::instant_opt(tr.as_ref(), |t| t.panic_retry, i as u64);
+                if let Some(t) = tr {
+                    t.tracer.instant(t.panic_retry, i as u64);
+                }
                 match catch_unwind(AssertUnwindSafe(|| {
                     if chaos_run.as_ref().is_some_and(|c| c.should_panic(i, 1)) {
                         panic!("chaos: scheduled worker panic at iteration {i} (retry)");
@@ -770,9 +741,7 @@ pub(crate) fn drive(
         let Some(ckcfg) = checkpoint else {
             return Ok(());
         };
-        let _flush_tspan =
-            RunTrace::span_opt(tr.as_ref(), |t| t.checkpoint_flush, raw.len() as u64);
-        let _flush_ph = RunProf::enter_opt(pr.as_ref(), |p| p.checkpoint_flush);
+        let _flush = ins.enter(Phase::CheckpointFlush, raw.len() as u64);
         let ck = Checkpoint {
             seed: cfg.seed,
             colors: k,
@@ -794,7 +763,7 @@ pub(crate) fn drive(
         }
         ck.save_opts(&ckcfg.path, ckcfg.durable)
             .map_err(|e| CountError::CheckpointWrite(e.to_string()))?;
-        if let Some(m) = rm.as_ref() {
+        if let Some(m) = rm {
             m.checkpoint_writes.inc();
         }
         Ok(())
@@ -804,10 +773,7 @@ pub(crate) fn drive(
     // short so cancellation latency and checkpoint staleness stay bounded;
     // without any of those features the schedule below reduces exactly to
     // the classic one.
-    let resilient = cancel.is_some()
-        || checkpoint.is_some()
-        || cfg.chaos.is_some()
-        || fault != FaultInjection::default();
+    let resilient = cancel.is_some() || checkpoint.is_some() || cfg.chaos.is_some();
     let mut stream = Welford::new();
     let mut raw: Vec<(f64, usize)> = Vec::with_capacity(resumed.len());
     // Running relative CI at the stop rule's critical value, once defined;
@@ -818,7 +784,7 @@ pub(crate) fn drive(
     };
     for &x in resumed {
         stream.push(x);
-        if let Some(e) = es.as_ref() {
+        if let Some(e) = es {
             // Resumed iterations re-enter the ledger (their root tables
             // are gone, so they carry no stratum decomposition).
             e.record_iteration(
@@ -870,8 +836,7 @@ pub(crate) fn drive(
         } else {
             (done + check_interval).min(budget)
         };
-        let wave_tspan = RunTrace::span_opt(tr.as_ref(), |t| t.wave, (target - done) as u64);
-        let wave_ph = RunProf::enter_opt(pr.as_ref(), |p| p.wave);
+        let wave_scope = ins.enter(Phase::Wave, (target - done) as u64);
         let mut cancelled = false;
         let mut next = done;
         while next < target {
@@ -905,7 +870,7 @@ pub(crate) fn drive(
                 };
                 let x = total / scale;
                 stream.push(x);
-                if let Some(e) = es.as_ref() {
+                if let Some(e) = es {
                     e.record_iteration(
                         raw.len() as u64,
                         x,
@@ -919,25 +884,26 @@ pub(crate) fn drive(
             }
             next = end;
         }
-        drop(wave_ph);
-        drop(wave_tspan);
+        drop(wave_scope);
         if cancelled {
             cause = cancel
                 .as_ref()
                 .and_then(|c| c.cause())
                 .unwrap_or(StopCause::Cancelled);
-            RunTrace::instant_opt(tr.as_ref(), |t| t.cancelled, raw.len() as u64);
+            if let Some(t) = tr {
+                t.tracer.instant(t.cancelled, raw.len() as u64);
+            }
             break;
         }
         if rule.is_adaptive() {
-            if let Some(m) = &rm {
+            if let Some(m) = rm {
                 m.adaptive_checks.inc();
                 m.adaptive_estimate
                     .set(stream.mean().max(0.0).round() as u64);
                 m.adaptive_ci
                     .set(stream.ci_half_width(rule.z()).round() as u64);
             }
-            if let (Some(t), Some(ci_rel)) = (tr.as_ref(), ci_rel(&stream)) {
+            if let (Some(t), Some(ci_rel)) = (tr, ci_rel(&stream)) {
                 t.tracer
                     .sample(t.adaptive_ci, (ci_rel * 1000.0).round() as u64);
             }
@@ -982,7 +948,7 @@ pub(crate) fn drive(
     }
     let executed = raw.len() - resumed_iterations;
     let iters = raw.len();
-    if let Some(m) = &rm {
+    if let Some(m) = rm {
         if rule.is_adaptive() && !cause.is_partial() {
             m.iterations_saved.add((budget - raw.len()) as u64);
         }
@@ -1175,7 +1141,7 @@ struct IterationOutput {
 /// chosen layout differs from the preferred one.
 #[inline]
 fn record_table_trace(
-    tr: Option<&RunTrace>,
+    tr: Option<&TraceMarks>,
     gate: Option<&BudgetGate>,
     chosen: TableKind,
     bytes: usize,
@@ -1211,11 +1177,7 @@ struct Pass<'a> {
     /// Keep every table alive to the end of the pass instead of releasing
     /// each after its last consumer.
     retain: bool,
-    rm: Option<&'a RunMetrics>,
-    tr: Option<&'a RunTrace>,
-    pr: Option<&'a RunProf>,
-    mm: Option<&'a RunMem>,
-    es: Option<&'a RunEst>,
+    ins: &'a Instruments,
 }
 
 /// Monomorphization dispatch on the table layout. Budgeted runs pick a
@@ -1225,15 +1187,15 @@ fn dispatch_iteration(
     pass: &Pass<'_>,
     coloring: &[u8],
     inner_parallel: bool,
-    fault: FaultInjection,
+    stall: Option<Duration>,
 ) -> Result<IterationOutput, CountError> {
     fn run<T: CountTable>(
         pass: &Pass<'_>,
         coloring: &[u8],
         inner_parallel: bool,
-        fault: FaultInjection,
+        stall: Option<Duration>,
     ) -> Result<IterationOutput, CountError> {
-        run_iteration::<T>(pass, coloring, inner_parallel, fault).map(|(out, _)| out)
+        run_iteration::<T>(pass, coloring, inner_parallel, stall).map(|(out, _)| out)
     }
     let run = match (pass.gate, pass.preferred) {
         (Some(_), _) => run::<AnyTable>,
@@ -1241,7 +1203,7 @@ fn dispatch_iteration(
         (None, TableKind::Lazy) => run::<LazyTable>,
         (None, TableKind::Hash) => run::<HashCountTable>,
     };
-    run(pass, coloring, inner_parallel, fault)
+    run(pass, coloring, inner_parallel, stall)
 }
 
 /// One DP pass over `coloring` that keeps every canonical class's table
@@ -1264,25 +1226,22 @@ pub(crate) fn retained_tables(
         cancel: None,
         want_row_sums: false,
         retain: true,
-        rm: None,
-        tr: None,
-        pr: None,
-        mm: None,
-        es: None,
+        ins: &Instruments::default(),
     };
-    run_iteration::<LazyTable>(&pass, coloring, false, FaultInjection::default())
+    run_iteration::<LazyTable>(&pass, coloring, false, None)
         .expect("a pass without budget or cancellation cannot fail")
         .1
 }
 
 /// Runs one full bottom-up DP pass for one coloring (Alg. 2), handing
-/// back the tables still held at its end.
+/// back the tables still held at its end. A chaos `stall` sleeps at every
+/// subtemplate DP step.
 #[allow(clippy::type_complexity)]
 fn run_iteration<T: CountTable>(
     pass: &Pass<'_>,
     coloring: &[u8],
     inner_parallel: bool,
-    fault: FaultInjection,
+    stall: Option<Duration>,
 ) -> Result<(IterationOutput, Vec<Option<Stored<T>>>), CountError> {
     let Pass {
         src,
@@ -1295,12 +1254,9 @@ fn run_iteration<T: CountTable>(
         cancel,
         want_row_sums,
         retain,
-        rm,
-        tr,
-        pr,
-        mm,
-        es,
+        ins,
     } = *pass;
+    let (rm, es) = (ins.metrics.as_ref(), ins.est.as_ref());
     let n = src.num_vertices();
     let mut stored: Vec<Option<Stored<T>>> = (0..pt.num_canon_classes()).map(|_| None).collect();
     let mut uses = pt.class_use_counts();
@@ -1326,11 +1282,8 @@ fn run_iteration<T: CountTable>(
         }
         let node = &pt.nodes()[idx as usize];
         let cid = node.canon_id as usize;
-        let _node_span = SpanTimer::start_opt(rm.and_then(|m| m.node_ns[idx as usize].as_deref()));
-        let _node_tspan = RunTrace::node_span_opt(tr, idx as usize);
-        let _node_ph = RunProf::node_enter_opt(pr, idx as usize);
-        let _node_mph = RunMem::node_enter_opt(mm, idx as usize);
-        if let Some(d) = fault.sleep_in_dp {
+        let _node_scope = ins.enter(Phase::Node(idx), 0);
+        if let Some(d) = stall {
             std::thread::sleep(d);
         }
         // Each materialized node yields its table and, for a cut, the
@@ -1389,7 +1342,7 @@ fn run_iteration<T: CountTable>(
                     }
                     None => preferred,
                 };
-                let _bph = RunProf::enter_opt(pr, |p| p.table_build);
+                let _bph = ins.enter(Phase::TableBuild, 0);
                 (T::from_rows_kind(kind, n, ctx.nc[3], rows), None)
             }
             NodeKind::Cut { active, passive } => {
@@ -1414,7 +1367,7 @@ fn run_iteration<T: CountTable>(
                     cancel,
                     cm: rm.map(|m| &m.cut),
                 };
-                let kph = RunProf::enter_opt(pr, |p| p.kernel_vectorized);
+                let kph = ins.enter(Phase::KernelVectorized, 0);
                 let mut batch = RowBatch::new(n, nc_h);
                 // The template arc across a directed cut picks which
                 // arcs the neighbor sum walks.
@@ -1437,11 +1390,11 @@ fn run_iteration<T: CountTable>(
                     )?,
                     None => preferred,
                 };
-                let _bph = RunProf::enter_opt(pr, |p| p.table_build);
+                let _bph = ins.enter(Phase::TableBuild, 0);
                 (T::from_batch_kind(kind, batch), Some([a_cid, p_cid]))
             }
         };
-        record_table_trace(tr, gate, table.kind(), table.bytes());
+        record_table_trace(ins.trace.as_ref(), gate, table.kind(), table.bytes());
         live_bytes += table.bytes();
         peak_bytes = peak_bytes.max(live_bytes);
         if let Some(m) = rm {
@@ -1455,13 +1408,13 @@ fn run_iteration<T: CountTable>(
             if uses[child_cid] == 0 && child_cid != cid && !retain {
                 if let Some(Stored::Table(old)) = stored[child_cid].take() {
                     if let Some(ci) = class_node[child_cid] {
-                        RunMem::record_node(mm, ci, &old);
+                        ins.record_table(ci, &old);
                     }
                     live_bytes -= old.bytes();
                 }
                 if let Some(ghost) = ghost_singles[child_cid].take() {
                     if let Some(ci) = class_node[child_cid] {
-                        RunMem::record_node(mm, ci, &ghost);
+                        ins.record_table(ci, &ghost);
                     }
                     live_bytes -= ghost.bytes();
                 }
@@ -1525,13 +1478,13 @@ fn run_iteration<T: CountTable>(
     // any stragglers kept by the use-count discipline). Doing it after
     // aggregation means the root's access counters include the final
     // `total()`/row reads — the table's complete lifetime.
-    if mm.is_some() {
+    if ins.mem.is_some() {
         for (cid, slot) in stored.iter().enumerate() {
             if let (Some(Stored::Table(table)), Some(ci)) = (slot, class_node[cid]) {
-                RunMem::record_node(mm, ci, table);
+                ins.record_table(ci, table);
             }
             if let (Some(ghost), Some(ci)) = (ghost_singles[cid].as_ref(), class_node[cid]) {
-                RunMem::record_node(mm, ci, ghost);
+                ins.record_table(ci, ghost);
             }
         }
     }

@@ -20,14 +20,16 @@
 //!   per-iteration estimates, plus the adaptive [`StopRule`] that lets the
 //!   engine stop as soon as the running confidence interval is tight
 //!   instead of exhausting the pessimistic a-priori iteration bound,
-//! * [`resilience`] — checkpoint/resume of partial runs, cooperative
-//!   cancellation with deadlines, and deterministic fault-injection hooks
-//!   (memory-budget degradation and worker panic isolation live in the
-//!   engine itself; see DESIGN.md §11).
+//! * [`resilience`] — checkpoint/resume of partial runs and cooperative
+//!   cancellation with deadlines (memory-budget degradation and worker
+//!   panic isolation live in the engine itself; see DESIGN.md §11),
+//! * [`chaos`] — seed-scheduled fault injection (worker panics,
+//!   cancellation, IO errors, DP stalls, budget squeezes).
 //!
 //! Every entry point accepts an optional [`fascia_obs::Metrics`] registry
 //! via [`engine::CountConfig::metrics`]; see the `metrics` module docs for
-//! the metric names the engine records.
+//! the metric names the engine records, and the `instruments` module for
+//! which engine phases each observer sees.
 
 pub mod chaos;
 pub mod coloring;
@@ -38,17 +40,16 @@ pub mod enumerate;
 pub mod est;
 pub mod exact;
 pub mod gdd;
+pub(crate) mod instruments;
 pub(crate) mod kernel;
 pub mod mem;
 pub(crate) mod metrics;
 pub mod motifs;
 pub mod parallel;
-pub(crate) mod profile;
 pub mod progress;
 pub mod resilience;
 pub mod sample;
 pub mod stats;
-pub(crate) mod trace;
 
 pub use chaos::{Chaos, ChaosParseError, ChaosRun, ChaosSpec, IoSite, CHAOS_ENV};
 pub use engine::{
@@ -59,8 +60,7 @@ pub use mem::{MemCollector, NodeMemStats};
 pub use parallel::ParallelMode;
 pub use progress::{Progress, ProgressConfig, ProgressSnapshot};
 pub use resilience::{
-    atomic_write, atomic_write_durable, CancelToken, Checkpoint, CheckpointConfig, FaultInjection,
-    Json, StopCause,
+    atomic_write, atomic_write_durable, CancelToken, Checkpoint, CheckpointConfig, Json, StopCause,
 };
 pub use sample::sample_embeddings;
 pub use stats::{count_until_converged, normal_quantile, EstimateStats, StopRule, Welford};

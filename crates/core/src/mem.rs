@@ -1,15 +1,16 @@
 //! Memory & access-pattern observability: the `fascia-mem/1` document.
 //!
-//! This is the third resolve-once instrumentation rail next to `metrics`
-//! (how much), `trace` (when), and `profile` (where time goes): *where
-//! memory goes and how it is touched*. A [`MemCollector`] is attached to a
-//! run via `CountConfig::mem`; the engine then
+//! This is the memory sink next to metrics (how much), the tracer (when),
+//! and the profiler (where time goes): *where memory goes and how it is
+//! touched*. A [`MemCollector`] is attached to a run via
+//! `CountConfig::mem`; the engine then
 //!
-//! 1. interns one allocator attribution phase per partition node (plus
+//! 1. enters one allocator attribution phase per partition node (plus
 //!    `iteration` / `coloring`) through [`fascia_obs::alloc`], so a binary
 //!    that installed [`fascia_obs::CountingAlloc`] attributes its
 //!    allocation volume to the same `dp.n<idx>.<kind><size>` taxonomy the
-//!    tracer and profiler publish, and
+//!    tracer and profiler publish (the engine's `Instruments` phase table
+//!    decides which phases), and
 //! 2. records every DP table into the collector at *release* time — after
 //!    the parent consumed it — so the [`fascia_table::AccessSnapshot`]
 //!    counters reflect the table's whole life, not its birth.
@@ -37,14 +38,11 @@
 //! counting results are bitwise identical with it absent, attached, or
 //! attached with the allocator and access tracking enabled.
 
-use fascia_obs::alloc::{self, MemPhaseGuard, MemPhaseId};
 use fascia_obs::json::{array_of, ObjectWriter};
 use fascia_obs::MemSnapshot;
 use fascia_table::{AccessSnapshot, CountTable, TableStats, ACCESS_BUCKETS};
-use fascia_template::partition::NodeKind;
-use fascia_template::PartitionTree;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Aggregated storage/access statistics of every table built for one
 /// partition node across all iterations.
@@ -209,73 +207,10 @@ impl MemCollector {
     }
 }
 
-/// All memory-observability handles one counting run needs, resolved up
-/// front: the collector plus interned allocator attribution phases.
-pub(crate) struct RunMem {
-    pub collector: Arc<MemCollector>,
-    pub iteration: MemPhaseId,
-    pub coloring: MemPhaseId,
-    /// Per-subtemplate phase and name, indexed by partition-node id
-    /// (`None` for nodes outside the unique evaluation order).
-    pub node: Vec<Option<(MemPhaseId, String)>>,
-}
-
-impl RunMem {
-    /// Interns every phase for the given partition tree. Returns `None`
-    /// when no collector is attached, which is what hot paths branch on.
-    pub(crate) fn resolve(mem: Option<&Arc<MemCollector>>, pt: &PartitionTree) -> Option<Self> {
-        let collector = Arc::clone(mem?);
-        let mut node: Vec<Option<(MemPhaseId, String)>> = vec![None; pt.nodes().len()];
-        for &idx in pt.unique_order() {
-            let n = &pt.nodes()[idx as usize];
-            let kind = match n.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("dp.n{idx:02}.{kind}{}", n.size);
-            node[idx as usize] = Some((alloc::intern_phase(&name), name));
-        }
-        Some(Self {
-            collector,
-            iteration: alloc::intern_phase("iteration"),
-            coloring: alloc::intern_phase("coloring"),
-            node,
-        })
-    }
-
-    /// Enters an allocator attribution phase if collection is on.
-    #[inline]
-    pub(crate) fn enter_opt(
-        mm: Option<&RunMem>,
-        pick: impl FnOnce(&RunMem) -> MemPhaseId,
-    ) -> Option<MemPhaseGuard> {
-        mm.map(|m| alloc::enter_phase(pick(m)))
-    }
-
-    /// Enters the per-subtemplate attribution phase for node `idx`.
-    #[inline]
-    pub(crate) fn node_enter_opt(mm: Option<&RunMem>, idx: usize) -> Option<MemPhaseGuard> {
-        let m = mm?;
-        Some(alloc::enter_phase(m.node[idx].as_ref()?.0))
-    }
-
-    /// Folds a released table into the collector under node `idx`'s name.
-    #[inline]
-    pub(crate) fn record_node<T: CountTable>(mm: Option<&RunMem>, idx: usize, table: &T) {
-        if let Some(m) = mm {
-            if let Some((_, name)) = m.node[idx].as_ref() {
-                m.collector.record(name, table);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fascia_table::{prune_zero_rows, AnyTable, Rows, TableKind};
-    use fascia_template::{PartitionStrategy, Template};
 
     fn sample_table(kind: TableKind) -> AnyTable {
         let (n, nc) = (12, 4);
@@ -323,20 +258,5 @@ mod tests {
         assert!(j.contains("\"occupancy\":"));
         // Dense layout: no probe section (additive, omitted when absent).
         assert!(!j.contains("\"probe\":{"));
-    }
-
-    #[test]
-    fn resolve_requires_a_collector() {
-        let t = Template::path(5);
-        let pt = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
-        assert!(RunMem::resolve(None, &pt).is_none());
-        let c = Arc::new(MemCollector::new());
-        let mm = RunMem::resolve(Some(&c), &pt).unwrap();
-        for &idx in pt.unique_order() {
-            let (_, name) = mm.node[idx as usize].as_ref().unwrap();
-            assert!(name.starts_with(&format!("dp.n{idx:02}.")));
-        }
-        assert!(RunMem::enter_opt(None, |m| m.iteration).is_none());
-        assert!(RunMem::node_enter_opt(None, 0).is_none());
     }
 }

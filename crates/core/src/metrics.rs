@@ -1,8 +1,9 @@
 //! Engine-side metric resolution.
 //!
 //! The registry lookup (name → handle) takes a mutex, so the engine does it
-//! exactly once per counting run, before any iteration starts. The hot
-//! loops then carry an `Option<&RunMetrics>`: with metrics absent or
+//! exactly once per counting run, before any iteration starts (as part of
+//! the run's `Instruments`, which also owns the phase histograms). The
+//! hot loops then carry an `Option<&RunMetrics>`: with metrics absent or
 //! disabled this is `None` and each instrumentation site costs a single
 //! pointer check.
 //!
@@ -37,10 +38,8 @@
 //! | `table.probe.inserts` / `table.probe.steps` | counter | hash-layout insert count and total probe steps |
 //! | `table.probe.max` | gauge | longest hash probe chain seen |
 
-use fascia_obs::{Counter, Gauge, Histogram, Metrics};
+use fascia_obs::{Counter, Gauge, Metrics};
 use fascia_table::{CountTable, TableStats};
-use fascia_template::partition::NodeKind;
-use fascia_template::PartitionTree;
 use std::sync::Arc;
 
 /// Handles for the cut-node inner loop (Alg. 2 line 2).
@@ -95,13 +94,9 @@ impl TableMetrics {
     }
 }
 
-/// All metric handles one counting run needs, resolved up front.
+/// The counter and gauge handles one counting run needs, resolved up
+/// front (the phase histograms live in the run's `Instruments`).
 pub(crate) struct RunMetrics {
-    pub coloring_ns: Arc<Histogram>,
-    pub iteration_ns: Arc<Histogram>,
-    /// Per-subtemplate DP span, indexed by partition-node id (`None` for
-    /// nodes outside the unique evaluation order).
-    pub node_ns: Vec<Option<Arc<Histogram>>>,
     pub iterations_total: Arc<Counter>,
     pub iterations_colorful: Arc<Counter>,
     pub iterations_saved: Arc<Counter>,
@@ -119,26 +114,9 @@ pub(crate) struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Resolves every handle against `m` for the given partition tree.
-    /// Returns `None` when metrics are absent or disabled, which is what
-    /// the hot loops branch on.
-    pub(crate) fn resolve(m: Option<&Metrics>, pt: &PartitionTree) -> Option<Self> {
-        let m = m.filter(|m| m.is_enabled())?;
-        let mut node_ns: Vec<Option<Arc<Histogram>>> = vec![None; pt.nodes().len()];
-        for &idx in pt.unique_order() {
-            let node = &pt.nodes()[idx as usize];
-            let kind = match node.kind {
-                NodeKind::Vertex => "vertex",
-                NodeKind::Triangle { .. } => "triangle",
-                NodeKind::Cut { .. } => "cut",
-            };
-            let name = format!("engine.dp_ns.n{idx:02}.{kind}{}", node.size);
-            node_ns[idx as usize] = Some(m.histogram(&name));
-        }
-        Some(Self {
-            coloring_ns: m.histogram("engine.coloring_ns"),
-            iteration_ns: m.histogram("engine.iteration_ns"),
-            node_ns,
+    /// Resolves every handle against the enabled registry `m`.
+    pub(crate) fn resolve(m: &Metrics) -> Self {
+        Self {
             iterations_total: m.counter("engine.iterations.total"),
             iterations_colorful: m.counter("engine.iterations.colorful"),
             iterations_saved: m.counter("engine.iterations.saved"),
@@ -170,29 +148,13 @@ impl RunMetrics {
                 probe_steps: m.counter("table.probe.steps"),
                 probe_max: m.gauge("table.probe.max"),
             },
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fascia_template::{PartitionStrategy, Template};
-
-    #[test]
-    fn resolve_requires_enabled_metrics() {
-        let t = Template::path(5);
-        let pt = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
-        assert!(RunMetrics::resolve(None, &pt).is_none());
-        let off = Metrics::disabled();
-        assert!(RunMetrics::resolve(Some(&off), &pt).is_none());
-        let on = Metrics::new();
-        let rm = RunMetrics::resolve(Some(&on), &pt).unwrap();
-        // Every node in the unique evaluation order got a span histogram.
-        for &idx in pt.unique_order() {
-            assert!(rm.node_ns[idx as usize].is_some());
-        }
-    }
 
     /// Sharded counters stay exact when driven from a rayon parallel
     /// iterator, and per-worker registries merge without loss.
@@ -230,18 +192,5 @@ mod tests {
             total.merge(local);
         }
         assert_eq!(total.counter("work").get(), 80_000);
-    }
-
-    #[test]
-    fn node_span_names_describe_the_subtemplate() {
-        let t = Template::path(4);
-        let pt = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
-        let m = Metrics::new();
-        RunMetrics::resolve(Some(&m), &pt).unwrap();
-        let json = m.to_json();
-        assert!(
-            json.contains("engine.dp_ns.n"),
-            "expected per-node histograms in {json}"
-        );
     }
 }

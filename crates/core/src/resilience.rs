@@ -1,5 +1,5 @@
-//! Resilient execution: checkpoint/resume, cooperative cancellation, and
-//! the supporting fault-injection hooks (DESIGN.md §11).
+//! Resilient execution: checkpoint/resume and cooperative cancellation
+//! (DESIGN.md §11); faults to exercise them come from [`crate::chaos`].
 //!
 //! Long color-coding runs are a sequence of independent iterations, which
 //! makes them naturally restartable: the complete run state between waves
@@ -205,22 +205,6 @@ impl CheckpointConfig {
         self.durable = true;
         self
     }
-}
-
-/// Deterministic fault hooks for tests: crash or cancel a run at an exact
-/// iteration, with no timing dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultInjection {
-    /// Panic on the *first* attempt of this iteration index (the retry
-    /// runs clean), exercising the engine's panic isolation.
-    pub panic_on_iteration: Option<usize>,
-    /// Cancel the run's token right before this iteration executes,
-    /// exercising mid-run cancellation and checkpoint flushing.
-    pub cancel_on_iteration: Option<usize>,
-    /// Sleep this long at every subtemplate DP step, slowing the engine
-    /// without changing any counting result — a synthetic regression for
-    /// validating the `fascia-perf` compare gate end to end.
-    pub sleep_in_dp: Option<std::time::Duration>,
 }
 
 /// Errors loading or saving a [`Checkpoint`].

@@ -18,9 +18,12 @@ cargo test -q --workspace --offline
 
 # The workspace run above already includes these, but the resilience
 # gate is called out explicitly so a failure is unmistakable: adversarial
-# input must never panic, and checkpoint resume must be bit-for-bit.
+# input must never panic, and checkpoint resume must be bit-for-bit. The
+# resilience suites inject their faults through the chaos schedule
+# (`panic_at`, `cancel_at`, `stall`), so its unit tests run here too.
 echo "=== resilience & fault-injection suites ==="
 cargo test -q --offline --test resilience --test fault_injection
+cargo test -q --offline -p fascia-core --lib -- chaos::
 
 # Release-mode kernel bitwise gate: the suite above runs debug builds,
 # but the kernel's vertex-blocked MAC and the hashed layout's home-window

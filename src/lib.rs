@@ -53,8 +53,7 @@ pub mod prelude {
     pub use fascia_core::parallel::{with_threads, ParallelMode};
     pub use fascia_core::progress::{Progress, ProgressConfig, ProgressSnapshot};
     pub use fascia_core::resilience::{
-        atomic_write, CancelToken, Checkpoint, CheckpointConfig, CheckpointError, FaultInjection,
-        Json, StopCause,
+        atomic_write, CancelToken, Checkpoint, CheckpointConfig, CheckpointError, Json, StopCause,
     };
     pub use fascia_core::sample::sample_embeddings;
     pub use fascia_core::stats::{count_until_converged, EstimateStats, StopRule, Welford};

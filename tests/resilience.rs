@@ -7,6 +7,7 @@
 //! its checkpoint must reproduce the uninterrupted run's per-iteration
 //! series — and therefore its estimate — bit for bit.
 
+use fascia::core::Chaos;
 use fascia::obs::Metrics;
 use fascia::prelude::*;
 use std::sync::Arc;
@@ -46,10 +47,7 @@ fn kill_then_resume_is_bitwise_identical_to_uninterrupted_run() {
         std::fs::remove_file(&path).ok();
         let killed_cfg = CountConfig {
             checkpoint: Some(CheckpointConfig::new(&path)),
-            fault: FaultInjection {
-                cancel_on_iteration: Some(17),
-                ..FaultInjection::default()
-            },
+            chaos: Some(Arc::new(Chaos::new("cancel_at=17".parse().unwrap()))),
             ..base.clone()
         };
         let killed = count_template(&g, &t, &killed_cfg);
@@ -120,10 +118,7 @@ fn adaptive_run_resumes_and_converges_like_the_uninterrupted_one() {
     std::fs::remove_file(&path).ok();
     let killed_cfg = CountConfig {
         checkpoint: Some(CheckpointConfig::new(&path)),
-        fault: FaultInjection {
-            cancel_on_iteration: Some(10),
-            ..FaultInjection::default()
-        },
+        chaos: Some(Arc::new(Chaos::new("cancel_at=10".parse().unwrap()))),
         ..base.clone()
     };
     let _ = count_template(&g, &t, &killed_cfg);
@@ -289,10 +284,7 @@ fn injected_panic_is_retried_without_poisoning_the_estimate() {
 
     let metrics = Arc::new(Metrics::new());
     let cfg = CountConfig {
-        fault: FaultInjection {
-            panic_on_iteration: Some(3),
-            ..FaultInjection::default()
-        },
+        chaos: Some(Arc::new(Chaos::new("panic_at=3".parse().unwrap()))),
         metrics: Some(metrics.clone()),
         ..base.clone()
     };
