@@ -7,7 +7,10 @@
 //!
 //! * `count_template` / `count_template_labeled` `per_iteration` over
 //!   parallel mode × table layout (concrete and budget-gated) × partition
-//!   strategy, unlabeled and labeled, plus seeded random small inputs;
+//!   strategy, unlabeled and labeled, plus seeded random small inputs,
+//!   and under memory budgets with and without a triangle base case;
+//! * `peak_table_bytes` per layout, including the naive layout's
+//!   single-vertex tables;
 //! * the `rooted_counts` `per_vertex` vector (fixed and adaptive rules);
 //! * `count_directed` `per_iteration` under every mode and layout;
 //! * `count_distributed` `per_iteration`, communication and load tallies;
@@ -208,6 +211,85 @@ fn kernels_agree_under_memory_budgets() {
                 }
             }
         }
+        out
+    });
+}
+
+/// The budget ladder over a template with a triangle base case: the
+/// triangle table goes through the same gate and layout choice as the
+/// cut tables.
+#[test]
+fn kernels_agree_under_memory_budgets_with_triangles() {
+    let g = fascia::graph::gen::gnm(180, 650, 7);
+    let t = Template::from_edges(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]).unwrap();
+    check_in_pool("budget-tri", || {
+        let mut out = Entries::new();
+        for budget in [usize::MAX / 2, 400_000, 120_000, 40_000] {
+            for (parallel, mname) in MODES {
+                for table in TableKind::all() {
+                    let cfg = CountConfig {
+                        iterations: 4,
+                        table,
+                        parallel,
+                        seed: 97,
+                        memory_budget_bytes: Some(budget),
+                        ..CountConfig::default()
+                    };
+                    out.push((
+                        format!("budget-tri/{budget}/{mname}/{}", table.name()),
+                        outcome(count_template(&g, &t, &cfg)),
+                    ));
+                }
+            }
+        }
+        out
+    });
+}
+
+/// Peak table bytes of serial runs per layout: what each layout
+/// allocates for cut, triangle and (naive layout) single-vertex tables.
+/// The labeled run skips the single-vertex rows of unmatched vertices.
+#[test]
+fn peak_table_bytes_match_golden() {
+    let g = fascia::graph::gen::gnm(200, 700, 29);
+    let labels = random_labels(g.num_vertices(), 3, 5);
+    let tri1 = Template::from_edges(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]).unwrap();
+    let templates = [
+        ("P4", Template::path(4)),
+        ("U5-2", NamedTemplate::U5_2.template()),
+        ("tri+1", tri1.clone()),
+    ];
+    let cfg = |table| CountConfig {
+        iterations: 3,
+        table,
+        parallel: ParallelMode::Serial,
+        seed: 19,
+        ..CountConfig::default()
+    };
+    let peak = |r: Result<CountResult, CountError>| match r {
+        Ok(r) => vec![r.peak_table_bytes.to_string()],
+        Err(e) => vec![format!("error {e}").replace([',', '"'], ";")],
+    };
+    check_in_pool("bytes", || {
+        let mut out = Entries::new();
+        for (name, t) in &templates {
+            for table in TableKind::all() {
+                out.push((
+                    format!("bytes/{name}/{}", table.name()),
+                    peak(count_template(&g, t, &cfg(table))),
+                ));
+            }
+        }
+        let labeled = tri1.with_labels(vec![0, 1, 1, 2]).unwrap();
+        out.push((
+            "bytes/tri+1-labeled/naive".to_string(),
+            peak(count_template_labeled(
+                &g,
+                &labels,
+                &labeled,
+                &cfg(TableKind::Dense),
+            )),
+        ));
         out
     });
 }
