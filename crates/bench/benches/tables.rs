@@ -1,26 +1,24 @@
 //! Micro-benchmarks of the three dynamic-table layouts (§III-C ablation):
 //! construction and random access cost for dense / lazy / hash at equal
-//! logical content.
+//! logical content. Tables are built from a `RowBatch`, the one path the
+//! engine builds them by.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fascia_table::{CountTable, DenseTable, HashCountTable, LazyTable, Rows};
+use fascia_table::{CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, TableKind};
 
-fn make_rows(n: usize, nc: usize, density_pct: usize) -> Rows {
-    (0..n)
-        .map(|v| {
-            if v % 100 < density_pct {
-                let mut row = vec![0.0f64; nc].into_boxed_slice();
-                for (cs, slot) in row.iter_mut().enumerate() {
-                    if (v + cs) % 3 == 0 {
-                        *slot = (v + cs) as f64;
-                    }
-                }
-                Some(row)
-            } else {
-                None
+/// `density_pct`% of the `n` vertices get a row, committed in vertex
+/// order.
+fn make_batch(n: usize, nc: usize, density_pct: usize) -> RowBatch {
+    let mut batch = RowBatch::new(n, nc);
+    for v in (0..n).filter(|v| v % 100 < density_pct) {
+        for (cs, slot) in batch.stage().iter_mut().enumerate() {
+            if (v + cs) % 3 == 0 {
+                *slot = (v + cs) as f64;
             }
-        })
-        .collect()
+        }
+        batch.commit(v);
+    }
+    batch
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -28,15 +26,15 @@ fn bench_build(c: &mut Criterion) {
     let nc = 126; // C(9, 4)
     let mut group = c.benchmark_group("table_build");
     for density in [10usize, 90] {
-        let rows = make_rows(n, nc, density);
-        group.bench_with_input(BenchmarkId::new("dense", density), &rows, |b, rows| {
-            b.iter(|| DenseTable::from_rows(n, nc, rows.clone()))
+        let batch = make_batch(n, nc, density);
+        group.bench_with_input(BenchmarkId::new("dense", density), &batch, |b, batch| {
+            b.iter(|| DenseTable::from_batch_kind(TableKind::Dense, batch.clone()))
         });
-        group.bench_with_input(BenchmarkId::new("lazy", density), &rows, |b, rows| {
-            b.iter(|| LazyTable::from_rows(n, nc, rows.clone()))
+        group.bench_with_input(BenchmarkId::new("lazy", density), &batch, |b, batch| {
+            b.iter(|| LazyTable::from_batch_kind(TableKind::Lazy, batch.clone()))
         });
-        group.bench_with_input(BenchmarkId::new("hash", density), &rows, |b, rows| {
-            b.iter(|| HashCountTable::from_rows(n, nc, rows.clone()))
+        group.bench_with_input(BenchmarkId::new("hash", density), &batch, |b, batch| {
+            b.iter(|| HashCountTable::from_batch_kind(TableKind::Hash, batch.clone()))
         });
     }
     group.finish();
@@ -45,10 +43,10 @@ fn bench_build(c: &mut Criterion) {
 fn bench_get(c: &mut Criterion) {
     let n = 20_000;
     let nc = 126;
-    let rows = make_rows(n, nc, 50);
-    let dense = DenseTable::from_rows(n, nc, rows.clone());
-    let lazy = LazyTable::from_rows(n, nc, rows.clone());
-    let hash = HashCountTable::from_rows(n, nc, rows);
+    let batch = make_batch(n, nc, 50);
+    let dense = DenseTable::from_batch_kind(TableKind::Dense, batch.clone());
+    let lazy = LazyTable::from_batch_kind(TableKind::Lazy, batch.clone());
+    let hash = HashCountTable::from_batch_kind(TableKind::Hash, batch);
     let mut group = c.benchmark_group("table_get_100k");
     let probe = |t: &dyn Fn(usize, usize) -> f64| {
         let mut acc = 0.0;

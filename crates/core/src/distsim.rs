@@ -8,24 +8,33 @@
 //! each subtemplate step.
 //!
 //! Real MPI is out of scope for an offline workstation build, so this
-//! module simulates that execution faithfully enough to study it: ranks
-//! compute their owned rows with the shared-memory engine's batched cut
-//! kernel, restricted to each rank's owned vertices and committing into
-//! one shared row batch (so the estimate is **bitwise identical** — the
-//! tests assert it), while the simulator tallies the communication a real
-//! cluster would pay: ghost rows fetched per step, bytes on the wire, and
-//! the per-rank row-compute load balance.
+//! module simulates that execution faithfully enough to study it. A
+//! vertex-partitioned counter runs the same per-vertex DP on every rank
+//! and differs only in the rows it exchanges, so the simulator runs the
+//! shared-memory engine's own DP pass once per iteration (the estimate is
+//! therefore **bitwise identical** — the tests assert it) and derives
+//! from its tables the communication a real cluster would pay: ghost rows
+//! fetched per step, bytes on the wire, and the per-rank row-compute load
+//! balance.
+//!
+//! That pass keeps every subtemplate table of the iteration alive, as the
+//! embedding sampler's pass does, rather than releasing each after its
+//! last consumer, so a simulated run holds one iteration's full table set
+//! at a time. [`DistResult`] reports no memory, and every in-repo caller
+//! counts templates of at most five vertices (U5-2 and smaller), where
+//! that set is a handful of `n`-row tables.
 
 use crate::coloring::{iteration_seed, random_coloring};
-use crate::engine::{effective_colors, triangle_rows, CountConfig, CountError, DpContext, Stored};
-use crate::kernel::{cut_batch, CutJob};
+use crate::engine::{
+    effective_colors, retained_tables, CountConfig, CountError, DpContext, Stored,
+};
 use fascia_combin::colorful_probability;
 use fascia_graph::Graph;
-use fascia_table::{CountTable, LazyTable, RowBatch, TableKind};
+use fascia_table::CountTable;
 use fascia_template::automorphism::automorphisms;
 use fascia_template::partition::NodeKind;
 use fascia_template::{PartitionTree, Template};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// How vertices are assigned to ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,20 +134,25 @@ pub fn count_distributed(
     for v in 0..n {
         owned[owner[v] as usize].push(v as u32);
     }
+    // Remote neighbors of each rank's owned vertices: the ghosts it
+    // fetches before every step.
+    let ghosts: Vec<BTreeSet<u32>> = owned
+        .iter()
+        .enumerate()
+        .map(|(rank, verts)| {
+            verts
+                .iter()
+                .flat_map(|&v| g.neighbors(v as usize))
+                .copied()
+                .filter(|&u| owner[u as usize] as usize != rank)
+                .collect()
+        })
+        .collect();
+    let ghost_total: u64 = ghosts.iter().map(|set| set.len() as u64).sum();
 
     let alpha = automorphisms(t) as f64;
     let p = colorful_probability(k, t.size());
     let scale = p * alpha;
-
-    // Remote neighbors of a rank's owned vertices: the ghosts it fetches.
-    let ghosts = |rank: usize, verts: &[u32]| -> HashSet<u32> {
-        verts
-            .iter()
-            .flat_map(|&v| g.neighbors(v as usize))
-            .copied()
-            .filter(|&u| owner[u as usize] as usize != rank)
-            .collect()
-    };
 
     let mut per_iteration = Vec::with_capacity(cfg.count.iterations);
     let mut ghost_rows = 0u64;
@@ -153,106 +167,63 @@ pub fn count_distributed(
         if cfg.ranks > 1 {
             comm_bytes += n as u64;
         }
-
-        let mut stored: Vec<Option<Stored<LazyTable>>> = Vec::new();
-        stored.resize_with(pt.num_canon_classes(), || None);
-        let mut uses = pt.class_use_counts();
+        let stored = retained_tables(g, t, &pt, &ctx, &coloring);
+        let table = |cid: usize| match &stored[cid] {
+            Some(Stored::Table(tb)) => Some(tb),
+            _ => None,
+        };
 
         for (step, &idx) in pt.unique_order().iter().enumerate() {
             let node = &pt.nodes()[idx as usize];
-            let cid = node.canon_id as usize;
-            match node.kind {
-                NodeKind::Vertex => {
-                    stored[cid] = Some(Stored::Single { label: None });
+            let bytes = match node.kind {
+                NodeKind::Vertex => continue,
+                // Triangles read the coloring plus two-hop adjacency; a
+                // real system replicates boundary adjacency, which we
+                // charge as one ghost "row" (flag-sized) per remote
+                // neighbor of each owned vertex.
+                NodeKind::Triangle { .. } => {
+                    ghost_rows += ghost_total;
+                    ghost_total
                 }
-                NodeKind::Triangle { partners } => {
-                    // Triangles read the coloring plus two-hop adjacency;
-                    // a real system replicates boundary adjacency, which we
-                    // charge as one ghost "row" (flag-sized) per remote
-                    // neighbor of each owned vertex. A vertex's row does
-                    // not depend on which rank computes it, so one pass
-                    // serves every rank.
-                    let rows = triangle_rows(
-                        g, None, t, node, partners, &ctx, &coloring, false, None, None,
-                    );
-                    for (rank, verts) in owned.iter().enumerate() {
-                        let fetched = ghosts(rank, verts);
-                        ghost_rows += fetched.len() as u64;
-                        comm_bytes += fetched.len() as u64;
-                        per_step_bytes[step] += fetched.len() as u64;
-                        rank_rows[rank] += verts
-                            .iter()
-                            .filter(|&&v| rows[v as usize].is_some())
-                            .count() as u64;
-                    }
-                    stored[cid] = Some(Stored::Table(LazyTable::from_rows(n, ctx.nc[3], rows)));
-                }
-                NodeKind::Cut { active, passive } => {
-                    let a_node = &pt.nodes()[active as usize];
+                // Ghost exchange: passive rows of remote neighbors (an
+                // active row costs a full row, an inactive one a flag).
+                NodeKind::Cut { passive, .. } => {
                     let p_node = &pt.nodes()[passive as usize];
-                    let p_cid = p_node.canon_id as usize;
-                    let row_bytes = (ctx.nc[p_node.size as usize] * 8) as u64;
-                    let mut batch = RowBatch::new(n, ctx.nc[node.size as usize]);
-                    for (rank, verts) in owned.iter().enumerate() {
-                        // Ghost exchange: passive rows of remote neighbors.
-                        if let Some(Stored::Table(ptab)) = &stored[p_cid] {
-                            let fetched = ghosts(rank, verts);
-                            ghost_rows += fetched.len() as u64;
-                            for &u in &fetched {
-                                let bytes = if ptab.vertex_active(u as usize) {
-                                    row_bytes
-                                } else {
-                                    1
-                                };
-                                comm_bytes += bytes;
-                                per_step_bytes[step] += bytes;
-                            }
+                    match table(p_node.canon_id as usize) {
+                        Some(ptab) => {
+                            let row_bytes = (ctx.nc[p_node.size as usize] * 8) as u64;
+                            ghost_rows += ghost_total;
+                            ghosts
+                                .iter()
+                                .flatten()
+                                .map(|&u| match ptab.vertex_active(u as usize) {
+                                    true => row_bytes,
+                                    false => 1,
+                                })
+                                .sum()
                         }
-                        let act = stored[a_node.canon_id as usize]
-                            .as_ref()
-                            .expect("active computed");
-                        let pas = stored[p_cid].as_ref().expect("passive computed");
-                        let job = CutJob {
-                            labels: None,
-                            node,
-                            a_node,
-                            p_node,
-                            act,
-                            pas,
-                            ctx: &ctx,
-                            coloring: &coloring,
-                            inner_parallel: false,
-                            owned: Some(verts),
-                            cancel: None,
-                            cm: None,
-                        };
-                        cut_batch(g, &job, &mut batch);
-                        rank_rows[rank] += verts
-                            .iter()
-                            .filter(|&&v| batch.row(v as usize).is_some())
-                            .count() as u64;
-                    }
-                    let table = LazyTable::from_batch_kind(TableKind::Lazy, batch);
-                    stored[cid] = Some(Stored::Table(table));
-                    for child_cid in [a_node.canon_id as usize, p_cid] {
-                        uses[child_cid] -= 1;
-                        if uses[child_cid] == 0 && child_cid != cid {
-                            stored[child_cid] = None;
-                        }
+                        None => 0,
                     }
                 }
+            };
+            comm_bytes += bytes;
+            per_step_bytes[step] += bytes;
+            // Each rank computes its owned vertices' rows.
+            let own = table(node.canon_id as usize).expect("materialized node has a table");
+            for (rank, verts) in owned.iter().enumerate() {
+                rank_rows[rank] += verts
+                    .iter()
+                    .filter(|&&v| own.vertex_active(v as usize))
+                    .count() as u64;
             }
         }
 
         // Final reduction: each rank contributes its owned partial sum
         // (8 bytes per rank).
         comm_bytes += 8 * cfg.ranks as u64;
-        let total = match stored[pt.root().canon_id as usize]
-            .as_ref()
-            .expect("root computed")
-        {
-            Stored::Single { .. } => n as f64,
-            Stored::Table(tb) => tb.total(),
+        let total = match table(pt.root().canon_id as usize) {
+            Some(tb) => tb.total(),
+            None => n as f64,
         };
         per_iteration.push(total / scale);
     }

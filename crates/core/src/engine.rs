@@ -30,7 +30,7 @@ use crate::chaos::{Chaos, IoSite};
 use crate::coloring::{iteration_seed, random_coloring};
 use crate::est::{EstCollector, EstIterStrata};
 use crate::instruments::{Instruments, Phase, TraceMarks};
-use crate::kernel::{cut_batch, CutJob, InArcs, OutArcs};
+use crate::kernel::{cut_batch, run_pass, CutJob, InArcs, OutArcs};
 use crate::mem::MemCollector;
 use crate::metrics::{RunMetrics, TriangleMetrics};
 use crate::parallel::ParallelMode;
@@ -44,7 +44,7 @@ use fascia_graph::digraph::DiGraph;
 use fascia_graph::Graph;
 use fascia_obs::{Metrics, Profiler, Tracer};
 use fascia_table::{
-    projected_bytes, AnyTable, CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, Rows,
+    projected_bytes, AnyTable, CountTable, DenseTable, HashCountTable, LazyTable, RowBatch,
     TableKind,
 };
 use fascia_template::automorphism::{automorphisms, rooted_automorphisms};
@@ -1286,27 +1286,24 @@ fn run_iteration<T: CountTable>(
         if let Some(d) = stall {
             std::thread::sleep(d);
         }
-        // Each materialized node yields its table and, for a cut, the
+        // Each materialized node yields its rows and, for a cut, the
         // child classes it consumes.
-        let (table, children): (T, Option<[usize; 2]>) = match node.kind {
+        let (batch, children): (RowBatch, Option<[usize; 2]>) = match node.kind {
             NodeKind::Vertex => {
                 let label = labels.map(|_| t.label(node.root));
                 if materialize_ghosts {
-                    let k = ctx.k;
-                    let rows: Rows = (0..n)
-                        .map(|v| {
-                            let mut row = vec![0.0f64; k].into_boxed_slice();
-                            let ok = match (label, labels) {
-                                (Some(l), Some(gl)) => gl[v] == l,
-                                _ => true,
-                            };
-                            if ok {
-                                row[coloring[v] as usize] = 1.0;
-                            }
-                            Some(row)
-                        })
-                        .collect();
-                    let table = T::from_rows(n, k, rows);
+                    let mut batch = RowBatch::new(n, ctx.k);
+                    for v in 0..n {
+                        let ok = match (label, labels) {
+                            (Some(l), Some(gl)) => gl[v] == l,
+                            _ => true,
+                        };
+                        if ok {
+                            batch.stage()[coloring[v] as usize] = 1.0;
+                            batch.commit(v);
+                        }
+                    }
+                    let table = T::from_batch_kind(preferred, batch);
                     live_bytes += table.bytes();
                     peak_bytes = peak_bytes.max(live_bytes);
                     if let Some(m) = rm {
@@ -1322,7 +1319,7 @@ fn run_iteration<T: CountTable>(
                 let Source::Undirected(g) = src else {
                     unreachable!("directed templates are trees")
                 };
-                let rows = triangle_rows(
+                let batch = triangle_batch(
                     g,
                     labels,
                     t,
@@ -1334,23 +1331,13 @@ fn run_iteration<T: CountTable>(
                     cancel,
                     rm.map(|m| &m.triangle),
                 );
-                let kind = match gate {
-                    Some(gate) => {
-                        let active = rows.iter().filter(|r| r.is_some()).count();
-                        let live = rows.iter().flatten().flatten().filter(|&&x| x != 0.0);
-                        gate.choose(n, ctx.nc[3], active, live.count(), live_bytes, rm)?
-                    }
-                    None => preferred,
-                };
-                let _bph = ins.enter(Phase::TableBuild, 0);
-                (T::from_rows_kind(kind, n, ctx.nc[3], rows), None)
+                (batch, None)
             }
             NodeKind::Cut { active, passive } => {
                 let a_node = &pt.nodes()[active as usize];
                 let p_node = &pt.nodes()[passive as usize];
                 let a_cid = a_node.canon_id as usize;
                 let p_cid = p_node.canon_id as usize;
-                let nc_h = ctx.nc[node.size as usize];
                 let act = stored[a_cid].as_ref().expect("active child computed");
                 let pas = stored[p_cid].as_ref().expect("passive child computed");
                 let job = CutJob {
@@ -1363,12 +1350,11 @@ fn run_iteration<T: CountTable>(
                     ctx,
                     coloring,
                     inner_parallel,
-                    owned: None,
                     cancel,
                     cm: rm.map(|m| &m.cut),
                 };
-                let kph = ins.enter(Phase::KernelVectorized, 0);
-                let mut batch = RowBatch::new(n, nc_h);
+                let _kph = ins.enter(Phase::KernelVectorized, 0);
+                let mut batch = RowBatch::new(n, ctx.nc[node.size as usize]);
                 // The template arc across a directed cut picks which
                 // arcs the neighbor sum walks.
                 match src {
@@ -1378,21 +1364,23 @@ fn run_iteration<T: CountTable>(
                     }
                     Source::Directed(g, _) => cut_batch(&InArcs(g), &job, &mut batch),
                 }
-                drop(kph);
-                let kind = match gate {
-                    Some(gate) => gate.choose(
-                        n,
-                        nc_h,
-                        batch.active_rows(),
-                        batch.live_entries(),
-                        live_bytes,
-                        rm,
-                    )?,
-                    None => preferred,
-                };
-                let _bph = ins.enter(Phase::TableBuild, 0);
-                (T::from_batch_kind(kind, batch), Some([a_cid, p_cid]))
+                (batch, Some([a_cid, p_cid]))
             }
+        };
+        let kind = match gate {
+            Some(gate) => gate.choose(
+                n,
+                batch.num_colorsets(),
+                batch.active_rows(),
+                batch.live_entries(),
+                live_bytes,
+                rm,
+            )?,
+            None => preferred,
+        };
+        let table = {
+            let _bph = ins.enter(Phase::TableBuild, 0);
+            T::from_batch_kind(kind, batch)
         };
         record_table_trace(ins.trace.as_ref(), gate, table.kind(), table.bytes());
         live_bytes += table.bytes();
@@ -1501,8 +1489,9 @@ fn run_iteration<T: CountTable>(
 /// Base-case rows for a triangle subtemplate rooted at `node.root`:
 /// ordered neighbor pairs (u, w) of v that close a triangle with distinct
 /// colors and matching labels, with optional base-case instrumentation.
+/// A vertex's row is committed only when it has a colorful hit.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn triangle_rows(
+fn triangle_batch(
     g: &Graph,
     labels: Option<&[u8]>,
     t: &Template,
@@ -1513,8 +1502,7 @@ pub(crate) fn triangle_rows(
     inner_parallel: bool,
     cancel: Option<&CancelToken>,
     tm: Option<&TriangleMetrics>,
-) -> Rows {
-    let nc = ctx.nc[3];
+) -> RowBatch {
     let want = labels.map(|gl| {
         (
             gl,
@@ -1524,21 +1512,21 @@ pub(crate) fn triangle_rows(
         )
     });
     let binom = &ctx.binom;
-    let compute = |v: usize| -> Option<Box<[f64]>> {
+    let compute = |_: &mut (), batch: &mut RowBatch, v: usize, slot_v: usize| {
         // Cheap cooperative cancellation poll: one mask test per vertex,
         // one atomic load per POLL_INTERVAL vertices. A bailed-out loop
-        // yields truncated rows, which the caller discards.
+        // yields a truncated batch, which the caller discards.
         if v & (POLL_INTERVAL - 1) == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-            return None;
+            return;
         }
         if let Some((gl, lr, _, _)) = want {
             if gl[v] != lr {
-                return None;
+                return;
             }
         }
         let cv = coloring[v];
         let neigh = g.neighbors(v);
-        let mut row: Option<Box<[f64]>> = None;
+        let row = batch.stage();
         // Colorful-hit accounting for the base case: closures examined at
         // the w level vs. those whose three colors are distinct.
         let mut cand = 0u64;
@@ -1583,8 +1571,7 @@ pub(crate) fn triangle_rows(
                         hits += 1;
                         let mut set = [cv, cu, cw];
                         set.sort_unstable();
-                        let idx = fascia_combin::index_of_set(&set, binom);
-                        row.get_or_insert_with(|| vec![0.0; nc].into_boxed_slice())[idx] += 1.0;
+                        row[fascia_combin::index_of_set(&set, binom)] += 1.0;
                     }
                 }
             }
@@ -1595,13 +1582,13 @@ pub(crate) fn triangle_rows(
                 tm.colorful.add(hits);
             }
         }
-        row
+        if hits != 0 {
+            batch.commit(slot_v);
+        }
     };
-    if inner_parallel {
-        (0..g.num_vertices()).into_par_iter().map(compute).collect()
-    } else {
-        (0..g.num_vertices()).map(compute).collect()
-    }
+    let mut batch = RowBatch::new(g.num_vertices(), ctx.nc[3]);
+    run_pass(&mut batch, inner_parallel, || (), compute, |_, _| {});
+    batch
 }
 
 #[cfg(test)]

@@ -59,9 +59,10 @@ pub struct NodeMemStats {
     pub bytes_total: u64,
     /// Graph vertices per table (`n`).
     pub rows: u64,
-    /// Rows the layout paid for, summed across builds.
+    /// Vertex rows the layout paid for, summed across builds.
     pub rows_materialized: u64,
-    /// Rows holding at least one non-zero count, summed across builds.
+    /// Vertex rows holding at least one non-zero count, summed across
+    /// builds.
     pub nonzero_rows: u64,
     /// Non-zero `(vertex, colorset)` entries, summed across builds.
     pub live_entries: u64,
@@ -210,21 +211,17 @@ impl MemCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fascia_table::{prune_zero_rows, AnyTable, Rows, TableKind};
+    use fascia_table::{AnyTable, RowBatch, TableKind};
 
     fn sample_table(kind: TableKind) -> AnyTable {
         let (n, nc) = (12, 4);
-        let mut rows: Rows = (0..n)
-            .map(|v| {
-                if v % 2 == 0 {
-                    Some(vec![v as f64; nc].into_boxed_slice())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        prune_zero_rows(&mut rows);
-        AnyTable::from_rows_kind(kind, n, nc, rows)
+        let mut batch = RowBatch::new(n, nc);
+        // Vertex 0's row would be all zero, so it is not committed.
+        for v in (2..n).step_by(2) {
+            batch.stage().fill(v as f64);
+            batch.commit(v);
+        }
+        AnyTable::from_batch_kind(kind, batch)
     }
 
     #[test]

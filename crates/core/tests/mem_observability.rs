@@ -13,7 +13,7 @@ use fascia_core::resilience::Json;
 use fascia_core::{count_template, CountConfig, MemCollector, ParallelMode};
 use fascia_graph::gen::gnm;
 use fascia_obs::alloc::{MemPhaseSnapshot, MemSnapshot};
-use fascia_table::{prune_zero_rows, AnyTable, CountTable as _, Rows, TableKind};
+use fascia_table::{AnyTable, CountTable as _, RowBatch, TableKind};
 use fascia_template::Template;
 
 fn cfg(iterations: usize) -> CountConfig {
@@ -83,17 +83,12 @@ fn mem_instrumentation_does_not_change_counts() {
 #[test]
 fn mem_document_golden_round_trip() {
     let (n, nc) = (12, 4);
-    let mut rows: Rows = (0..n)
-        .map(|v| {
-            if v % 3 == 0 {
-                Some(vec![v as f64 + 0.5; nc].into_boxed_slice())
-            } else {
-                None
-            }
-        })
-        .collect();
-    prune_zero_rows(&mut rows);
-    let table = AnyTable::from_rows_kind(TableKind::Hash, n, nc, rows);
+    let mut batch = RowBatch::new(n, nc);
+    for v in (0..n).step_by(3) {
+        batch.stage().fill(v as f64 + 0.5);
+        batch.commit(v);
+    }
+    let table = AnyTable::from_batch_kind(TableKind::Hash, batch);
     let collector = MemCollector::new();
     collector.record("dp.n00.vertex1", &table);
     collector.record("dp.n02.cut3", &table);

@@ -173,7 +173,7 @@ pub struct AccessSnapshot {
     pub sequential: u64,
     /// Accesses that jumped elsewhere in the table.
     pub scattered: u64,
-    /// Rows touched at least once.
+    /// Distinct rows touched at least once.
     pub touched_rows: u64,
     /// Histogram of per-row touch counts, log2 buckets (`[i]` counts rows
     /// touched `2^i ..= 2^(i+1)-1` times; the last bucket absorbs the tail).
@@ -200,7 +200,7 @@ impl AccessSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::sample_rows;
+    use crate::test_support::sample_batch;
     use crate::{AnyTable, CountTable, TableKind};
 
     /// One test owns the global flag end to end so parallel test threads
@@ -210,7 +210,7 @@ mod tests {
         set_access_tracking(true);
         let (n, nc) = (30, 6);
         for kind in TableKind::all() {
-            let t = AnyTable::from_rows_kind(kind, n, nc, sample_rows(n, nc));
+            let t = AnyTable::from_batch_kind(kind, sample_batch(n, nc));
             // Sequential sweep, then a scattered revisit.
             for v in 0..n {
                 let _ = t.vertex_active(v);
@@ -228,7 +228,7 @@ mod tests {
             assert!(s.touched_rows > 0, "{kind:?}");
             assert!(s.sequential > 0, "{kind:?}");
             assert!(s.scattered > 0, "{kind:?}");
-            assert!(s.inactive_skips > 0, "{kind:?}: sample_rows has gaps");
+            assert!(s.inactive_skips > 0, "{kind:?}: sample_batch has gaps");
             let hist_rows: u64 = s.touch_hist.iter().sum();
             assert_eq!(hist_rows, s.touched_rows, "{kind:?}");
             if kind == TableKind::Hash {
@@ -238,7 +238,7 @@ mod tests {
             }
         }
         set_access_tracking(false);
-        let t = AnyTable::from_rows_kind(TableKind::Lazy, n, nc, sample_rows(n, nc));
+        let t = AnyTable::from_batch_kind(TableKind::Lazy, sample_batch(n, nc));
         assert!(t.stats().access.is_none(), "built after disabling");
     }
 

@@ -4,13 +4,11 @@
 //! subtemplate* layout decision: a size-4 subtemplate may fit dense while
 //! the size-7 parent must fall back to hashed. The concrete layouts are
 //! monomorphized into the DP, so [`AnyTable`] wraps all three behind one
-//! type and dispatches [`CountTable::from_rows_kind`] on the requested
+//! type and dispatches [`CountTable::from_batch_kind`] on the requested
 //! [`TableKind`] — the virtual-dispatch cost is paid only when a budget is
 //! configured.
 
-use crate::{
-    CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, Rows, TableKind, TableStats,
-};
+use crate::{CountTable, DenseTable, HashCountTable, LazyTable, RowBatch, TableKind, TableStats};
 
 /// One of the three layouts, chosen at construction time.
 #[derive(Debug, Clone)]
@@ -34,19 +32,6 @@ macro_rules! dispatch {
 }
 
 impl CountTable for AnyTable {
-    /// Defaults to the lazy layout (the engine's default kind).
-    fn from_rows(n: usize, nc: usize, rows: Rows) -> Self {
-        AnyTable::Lazy(LazyTable::from_rows(n, nc, rows))
-    }
-
-    fn from_rows_kind(kind: TableKind, n: usize, nc: usize, rows: Rows) -> Self {
-        match kind {
-            TableKind::Dense => AnyTable::Dense(DenseTable::from_rows(n, nc, rows)),
-            TableKind::Lazy => AnyTable::Lazy(LazyTable::from_rows(n, nc, rows)),
-            TableKind::Hash => AnyTable::Hash(HashCountTable::from_rows(n, nc, rows)),
-        }
-    }
-
     fn from_batch_kind(kind: TableKind, batch: RowBatch) -> Self {
         match kind {
             TableKind::Dense => AnyTable::Dense(DenseTable::from_batch_kind(kind, batch)),
@@ -115,8 +100,8 @@ impl CountTable for AnyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{check_contract, sample_rows};
-    use crate::{projected_bytes, prune_zero_rows};
+    use crate::projected_bytes;
+    use crate::test_support::{check_contract, sample_batch};
 
     #[test]
     fn satisfies_table_contract() {
@@ -126,10 +111,10 @@ mod tests {
     #[test]
     fn dispatches_each_kind() {
         let (n, nc) = (19, 5);
+        let direct = LazyTable::from_batch_kind(TableKind::Lazy, sample_batch(n, nc));
         for kind in TableKind::all() {
-            let t = AnyTable::from_rows_kind(kind, n, nc, sample_rows(n, nc));
+            let t = AnyTable::from_batch_kind(kind, sample_batch(n, nc));
             assert_eq!(t.kind(), kind);
-            let direct = LazyTable::from_rows(n, nc, sample_rows(n, nc));
             assert_eq!(t.total(), direct.total(), "kind {kind:?}");
         }
     }
@@ -137,21 +122,14 @@ mod tests {
     #[test]
     fn projection_matches_built_bytes() {
         let (n, nc) = (200, 12);
-        let mut rows = sample_rows(n, nc);
-        prune_zero_rows(&mut rows);
-        let active = rows.iter().filter(|r| r.is_some()).count();
-        let live: usize = rows
-            .iter()
-            .flatten()
-            .map(|r| r.iter().filter(|&&x| x != 0.0).count())
-            .sum();
+        let batch = sample_batch(n, nc);
+        let (active, live) = (batch.active_rows(), batch.live_entries());
         for kind in TableKind::all() {
             let projected = projected_bytes(kind, n, nc, active, live);
-            let built = AnyTable::from_rows_kind(kind, n, nc, rows.clone()).bytes();
+            let built = AnyTable::from_batch_kind(kind, batch.clone()).bytes();
             assert_eq!(projected, built, "kind {kind:?}");
         }
     }
-
     #[test]
     fn ladder_never_steps_up() {
         assert_eq!(TableKind::Dense.ladder().len(), 3);

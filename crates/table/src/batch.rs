@@ -1,19 +1,22 @@
-//! Arena-staged row batches for the vectorized DP kernel.
+//! Arena-staged row batches: the one input every table layout is built
+//! from.
 //!
-//! The scalar DP emits one `Option<Box<[f64]>>` per vertex ([`Rows`]),
-//! paying one heap allocation per active vertex. The vectorized kernel
-//! (DESIGN.md §15) instead stages rows into a single contiguous arena:
-//! `stage()` hands out a zeroed scratch row at the arena tail, and
-//! `commit(v)` keeps it as vertex `v`'s row — an uncommitted row is simply
-//! overwritten by the next `stage()`. Construction of the final table then
-//! consumes the arena directly (see [`crate::CountTable::from_batch_kind`]),
-//! so the hot loop performs **zero** per-row allocations.
+//! The DP stages rows into a single contiguous arena: `stage()` hands out
+//! a zeroed scratch row at the arena tail, and `commit(v)` keeps it as
+//! vertex `v`'s row — an uncommitted row is simply overwritten by the next
+//! `stage()`. Construction of the final table then consumes the arena
+//! directly (see [`crate::CountTable::from_batch_kind`]), so the hot loop
+//! performs **zero** per-row allocations.
 //!
-//! Committed rows live in the arena in commit order. A full pass commits
+//! Two rules make that one path safe for every layout. A batch commits rows
 //! in ascending vertex order, which makes the arena identical to the
-//! colorset-major layout [`crate::LazyTable`] stores — its `from_batch` is
-//! a move, not a copy. Passes over owned-vertex subsets may commit in any
-//! order ([`RowBatch::in_vertex_order`] tells them apart).
+//! colorset-major layout [`crate::LazyTable`] stores — its
+//! `from_batch_kind` is a move, not a copy — and fixes the order in which
+//! every layout sums its entries. And only rows with a non-zero entry are
+//! committed, so a committed row *is* an active vertex: the dense and lazy
+//! layouts mark committed rows active without rescanning them.
+//! [`RowBatch::commit`] asserts the first rule, and debug builds the
+//! second.
 //!
 //! On Linux, an arena whose size reaches 32 MiB (`HUGE_ARENA_BYTES`)
 //! reserves that capacity once and asks the kernel for transparent huge
@@ -21,8 +24,6 @@
 //! arenas grow on demand. `concat` knows its exact size; `new` reserves
 //! its `n · nc` worst case only where an unused reservation costs nothing
 //! but address space (see `reservation_is_free`).
-
-use crate::Rows;
 
 /// Per-vertex slot value marking "no committed row".
 pub(crate) const NO_ROW: u32 = u32::MAX;
@@ -143,6 +144,9 @@ pub struct RowBatch {
     /// Per-vertex arena row index, [`NO_ROW`] when the vertex has none.
     pub(crate) slots: Vec<u32>,
     pub(crate) committed: usize,
+    /// Lowest vertex the next commit may name (one past the last
+    /// committed vertex).
+    next: usize,
 }
 
 impl RowBatch {
@@ -161,6 +165,7 @@ impl RowBatch {
             data: data.unwrap_or_default(),
             slots: vec![NO_ROW; n],
             committed: 0,
+            next: 0,
         }
     }
 
@@ -194,20 +199,31 @@ impl RowBatch {
         }
     }
 
-    /// Commits the currently staged row as vertex `v`'s row.
+    /// Commits the currently staged row as vertex `v`'s row. The row must
+    /// hold a non-zero entry (checked in debug builds).
     ///
     /// # Panics
-    /// Panics if `v` is out of range, already has a row, or nothing was
-    /// staged since the last commit.
+    /// Panics if `v` is out of range, is not above the last committed
+    /// vertex, or nothing was staged since the last commit.
     #[inline]
     pub fn commit(&mut self, v: usize) {
+        let start = self.committed * self.nc;
         assert!(
-            self.data.len() >= (self.committed + 1) * self.nc,
+            self.data.len() >= start + self.nc,
             "commit without a staged row"
         );
-        assert_eq!(self.slots[v], NO_ROW, "vertex {v} committed twice");
+        assert!(
+            v >= self.next,
+            "vertex {v} committed after vertex {}",
+            self.next - 1
+        );
+        debug_assert!(
+            self.data[start..start + self.nc].iter().any(|&x| x != 0.0),
+            "vertex {v} committed an all-zero row"
+        );
         self.slots[v] = self.committed as u32;
         self.committed += 1;
+        self.next = v + 1;
     }
 
     /// Number of committed rows.
@@ -256,9 +272,13 @@ impl RowBatch {
                 .unwrap_or_else(|| Vec::with_capacity(total_rows * nc)),
             slots: Vec::with_capacity(n),
             committed: 0,
+            next: 0,
         };
         for part in parts {
             assert_eq!(part.nc, nc, "band row width mismatch");
+            if part.committed > 0 {
+                out.next = out.slots.len() + part.next;
+            }
             for slot in &part.slots {
                 out.slots.push(match *slot {
                     NO_ROW => NO_ROW,
@@ -271,33 +291,6 @@ impl RowBatch {
         }
         assert_eq!(out.slots.len(), n, "bands must cover every vertex");
         out
-    }
-
-    /// Whether the arena holds the committed rows in ascending vertex
-    /// order (true for every full pass).
-    pub fn in_vertex_order(&self) -> bool {
-        self.slots
-            .iter()
-            .filter(|&&s| s != NO_ROW)
-            .enumerate()
-            .all(|(i, &s)| s as usize == i)
-    }
-
-    /// Converts to the boxed per-vertex representation (the compatibility
-    /// path behind [`crate::CountTable::from_batch_kind`]'s default).
-    pub fn into_rows(self) -> Rows {
-        let Self {
-            n, nc, data, slots, ..
-        } = self;
-        (0..n)
-            .map(|v| match slots[v] {
-                NO_ROW => None,
-                slot => {
-                    let start = slot as usize * nc;
-                    Some(data[start..start + nc].to_vec().into_boxed_slice())
-                }
-            })
-            .collect()
     }
 }
 
@@ -320,9 +313,6 @@ mod tests {
         assert_eq!(b.row(1), Some(&[1.0, 0.0][..]));
         assert_eq!(b.row(4), Some(&[0.0, 3.0][..]));
         assert_eq!(b.row(0), None);
-        let rows = b.into_rows();
-        assert!(rows[0].is_none());
-        assert_eq!(rows[1].as_deref(), Some(&[1.0, 0.0][..]));
     }
 
     #[test]
@@ -333,11 +323,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "committed after")]
     fn double_commit_panics() {
         let mut b = RowBatch::new(3, 2);
-        b.stage();
+        b.stage()[0] = 1.0;
         b.commit(0);
+        b.stage()[0] = 1.0;
+        b.commit(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "committed after")]
+    fn descending_commit_panics() {
+        let mut b = RowBatch::new(3, 2);
+        b.stage()[0] = 1.0;
+        b.commit(2);
+        b.stage()[0] = 1.0;
+        b.commit(1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "all-zero row")]
+    fn all_zero_commit_panics_in_debug_builds() {
+        let mut b = RowBatch::new(3, 2);
         b.stage();
         b.commit(0);
     }

@@ -6,7 +6,7 @@
 //! lazy and hashed layouts.
 
 use crate::access::{recorder_for, AccessRecorder};
-use crate::{CountTable, RowBatch, Rows, TableKind, TableStats};
+use crate::{CountTable, RowBatch, TableKind, TableStats};
 use std::sync::Arc;
 
 /// Flat row-major `n x Nc` array of counts.
@@ -23,27 +23,6 @@ pub struct DenseTable {
 }
 
 impl CountTable for DenseTable {
-    fn from_rows(n: usize, nc: usize, rows: Rows) -> Self {
-        assert_eq!(rows.len(), n, "row count must equal vertex count");
-        let mut data = vec![0.0f64; n * nc];
-        let mut active = vec![false; n];
-        for (v, row) in rows.into_iter().enumerate() {
-            if let Some(row) = row {
-                assert_eq!(row.len(), nc, "row width must equal colorset count");
-                let is_active = row.iter().any(|&x| x != 0.0);
-                data[v * nc..(v + 1) * nc].copy_from_slice(&row);
-                active[v] = is_active;
-            }
-        }
-        Self {
-            n,
-            nc,
-            data,
-            active,
-            access: recorder_for(n),
-        }
-    }
-
     fn from_batch_kind(_kind: TableKind, batch: RowBatch) -> Self {
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
@@ -52,9 +31,9 @@ impl CountTable for DenseTable {
         for v in 0..n {
             if let Some(row) = batch.row(v) {
                 data[v * nc..(v + 1) * nc].copy_from_slice(row);
-                // Committed rows are active by the staging contract (the
-                // kernel commits only non-zero rows), matching the lazy
-                // arena's slot semantics without rescanning every row.
+                // Committed rows are active by the staging contract (only
+                // non-zero rows are committed), matching the lazy arena's
+                // slot semantics without rescanning every row.
                 active[v] = true;
             }
         }
@@ -150,8 +129,7 @@ mod tests {
 
     #[test]
     fn bytes_are_full_allocation() {
-        let rows: Rows = vec![None; 10];
-        let t = DenseTable::from_rows(10, 5, rows);
+        let t = DenseTable::from_batch_kind(TableKind::Dense, RowBatch::new(10, 5));
         // Dense always pays the full n * nc doubles.
         assert!(t.bytes() >= 10 * 5 * 8);
         assert_eq!(t.total(), 0.0);
@@ -159,23 +137,11 @@ mod tests {
 
     #[test]
     fn empty_rows_read_as_zero() {
-        let t = DenseTable::from_rows(3, 2, vec![None, None, None]);
+        let t = DenseTable::from_batch_kind(TableKind::Dense, RowBatch::new(3, 2));
         for v in 0..3 {
             assert!(!t.vertex_active(v));
             assert_eq!(t.get(v, 0), 0.0);
             assert!(t.row_slice(v).is_none());
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_wrong_row_count() {
-        DenseTable::from_rows(3, 2, vec![None, None]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_wrong_row_width() {
-        DenseTable::from_rows(1, 2, vec![Some(vec![1.0].into_boxed_slice())]);
     }
 }

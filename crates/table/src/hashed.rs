@@ -11,7 +11,7 @@
 //! reduction versus the dense layout.
 
 use crate::access::{recorder_for, AccessRecorder};
-use crate::{CountTable, ProbeStats, RowBatch, Rows, TableKind, TableStats};
+use crate::{CountTable, ProbeStats, RowBatch, TableKind, TableStats};
 use std::sync::Arc;
 
 const EMPTY: u64 = u64::MAX;
@@ -124,47 +124,12 @@ impl HashCountTable {
 }
 
 impl CountTable for HashCountTable {
-    fn from_rows(n: usize, nc: usize, rows: Rows) -> Self {
-        assert_eq!(rows.len(), n, "row count must equal vertex count");
-        let live: usize = rows
-            .iter()
-            .flatten()
-            .map(|row| {
-                assert_eq!(row.len(), nc, "row width must equal colorset count");
-                row.iter().filter(|&&x| x != 0.0).count()
-            })
-            .sum();
-        // Factor-of-two occupancy, as the paper sizes its table by a factor
-        // of the live range; keep a floor to avoid degenerate mod values.
-        let capacity = (2 * live).max(16) + 1;
-        let mut table = Self {
-            n,
-            nc,
-            capacity,
-            keys: vec![EMPTY; capacity],
-            vals: vec![0.0; capacity],
-            active: vec![false; n],
-            live,
-            probe: ProbeStats::default(),
-            access: recorder_for(n),
-        };
-        for (v, row) in rows.into_iter().enumerate() {
-            let Some(row) = row else { continue };
-            for (cs, &val) in row.iter().enumerate() {
-                if val == 0.0 {
-                    continue;
-                }
-                table.active[v] = true;
-                table.insert((v * nc + cs) as u64, val);
-            }
-        }
-        table
-    }
-
     fn from_batch_kind(_kind: TableKind, batch: RowBatch) -> Self {
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
         let live = batch.live_entries();
+        // Factor-of-two occupancy, as the paper sizes its table by a factor
+        // of the live range; keep a floor to avoid degenerate mod values.
         let capacity = (2 * live).max(16) + 1;
         let mut table = Self {
             n,
@@ -342,7 +307,7 @@ impl CountTable for HashCountTable {
 mod tests {
     use super::*;
     use crate::dense::DenseTable;
-    use crate::test_support::{check_contract, sample_rows};
+    use crate::test_support::{batch_of, check_contract, sample_batch};
 
     #[test]
     fn satisfies_table_contract() {
@@ -351,9 +316,8 @@ mod tests {
 
     #[test]
     fn matches_dense_semantics() {
-        let rows = sample_rows(57, 11);
-        let hash = HashCountTable::from_rows(57, 11, rows.clone());
-        let dense = DenseTable::from_rows(57, 11, rows);
+        let hash = HashCountTable::from_batch_kind(TableKind::Hash, sample_batch(57, 11));
+        let dense = DenseTable::from_batch_kind(TableKind::Dense, sample_batch(57, 11));
         for v in 0..57 {
             for cs in 0..11 {
                 assert_eq!(hash.get(v, cs), dense.get(v, cs), "v={v} cs={cs}");
@@ -368,19 +332,17 @@ mod tests {
         // 1% of vertices active, one colorset each: the Fig. 7 regime.
         let n = 2000;
         let nc = 128;
-        let rows: Rows = (0..n)
+        let rows: Vec<Option<Vec<f64>>> = (0..n)
             .map(|v| {
-                if v % 100 == 0 {
-                    let mut r = vec![0.0; nc].into_boxed_slice();
+                (v % 100 == 0).then(|| {
+                    let mut r = vec![0.0; nc];
                     r[v % nc] = 1.0;
-                    Some(r)
-                } else {
-                    None
-                }
+                    r
+                })
             })
             .collect();
-        let hash = HashCountTable::from_rows(n, nc, rows.clone());
-        let dense = DenseTable::from_rows(n, nc, rows);
+        let hash = HashCountTable::from_batch_kind(TableKind::Hash, batch_of(nc, &rows));
+        let dense = DenseTable::from_batch_kind(TableKind::Dense, batch_of(nc, &rows));
         assert!(
             hash.bytes() * 10 < dense.bytes(),
             "hash {} vs dense {}",
@@ -393,7 +355,7 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let t = HashCountTable::from_rows(5, 4, vec![None; 5]);
+        let t = HashCountTable::from_batch_kind(TableKind::Hash, RowBatch::new(5, 4));
         assert_eq!(t.live_entries(), 0);
         assert_eq!(t.total(), 0.0);
         for v in 0..5 {
@@ -408,16 +370,14 @@ mod tests {
         // every key still resolves.
         let n = 64;
         let nc = 4;
-        let rows: Rows = (0..n)
-            .map(|v| {
-                let mut r = vec![0.0; nc].into_boxed_slice();
-                for cs in 0..nc {
-                    r[cs] = (v * nc + cs) as f64 + 0.5;
-                }
-                Some(r)
-            })
-            .collect();
-        let t = HashCountTable::from_rows(n, nc, rows);
+        let mut batch = RowBatch::new(n, nc);
+        for v in 0..n {
+            for (cs, x) in batch.stage().iter_mut().enumerate() {
+                *x = (v * nc + cs) as f64 + 0.5;
+            }
+            batch.commit(v);
+        }
+        let t = HashCountTable::from_batch_kind(TableKind::Hash, batch);
         for v in 0..n {
             for cs in 0..nc {
                 assert_eq!(t.get(v, cs), (v * nc + cs) as f64 + 0.5);
@@ -446,29 +406,22 @@ mod window_tests {
         static WINDOW_HITS: Cell<[u32; 4]> = const { Cell::new([0; 4]) };
     }
 
-    /// Random rows of `n × nc` with each slot live at `density`; live
-    /// values are fractional so a misplaced add shows in the bits.
-    fn random_rows(rng: &mut SmallRng, n: usize, nc: usize, density: f64) -> Rows {
-        (0..n)
-            .map(|_| {
-                rng.gen_bool(0.8).then(|| {
-                    (0..nc)
-                        .map(|_| match rng.gen_bool(density) {
-                            true => rng.gen_range(0.001..4.0),
-                            false => 0.0,
-                        })
-                        .collect()
-                })
-            })
-            .collect()
-    }
-
-    /// The same rows staged into a [`RowBatch`] in vertex order.
-    fn batch_of(n: usize, nc: usize, rows: &Rows) -> RowBatch {
+    /// A random `n × nc` batch: about 80% of the vertices stage a row,
+    /// each slot live at `density`, and rows with a live slot are
+    /// committed. Live values are fractional so a misplaced add shows in
+    /// the bits.
+    fn random_batch(rng: &mut SmallRng, n: usize, nc: usize, density: f64) -> RowBatch {
         let mut batch = RowBatch::new(n, nc);
-        for (v, row) in rows.iter().enumerate() {
-            let Some(row) = row else { continue };
-            batch.stage().copy_from_slice(row);
+        for v in 0..n {
+            if !rng.gen_bool(0.8) {
+                continue;
+            }
+            let row = batch.stage();
+            for x in row.iter_mut() {
+                if rng.gen_bool(density) {
+                    *x = rng.gen_range(0.001..4.0);
+                }
+            }
             if row.iter().any(|&x| x != 0.0) {
                 batch.commit(v);
             }
@@ -480,8 +433,7 @@ mod window_tests {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
 
         /// `add_row_into` leaves exactly the bits of `acc[cs] += get(v,
-        /// cs)` over every `cs`, for tables built from rows and from a
-        /// batch, at row densities from 0.5% to 60%, into accumulators
+        /// cs)` over every `cs`, at row densities from 0.5% to 60%, into accumulators
         /// starting at +0.0 or at random non-negative values. After the
         /// last case, the recorder-free cases must have run a window that
         /// wraps past the end of the table, one that covers the whole
@@ -495,11 +447,8 @@ mod window_tests {
             let n = rng.gen_range(1usize..80);
             let nc = rng.gen_range(1usize..48);
             let density = 0.005 * 120f64.powf(rng.gen_range(0.0..1.0));
-            let rows = random_rows(&mut rng, n, nc, density);
-            let table = match rng.gen_bool(0.5) {
-                true => HashCountTable::from_rows(n, nc, rows.clone()),
-                false => HashCountTable::from_batch_kind(TableKind::Hash, batch_of(n, nc, &rows)),
-            };
+            let table =
+                HashCountTable::from_batch_kind(TableKind::Hash, random_batch(&mut rng, n, nc, density));
             let prefill = rng.gen_bool(0.5);
             for v in 0..n {
                 let start: Vec<f64> = (0..nc)
@@ -557,8 +506,12 @@ mod adversarial_tests {
         // One vertex, many colorsets: keys 0..nc are consecutive — the
         // worst case for linear probing at 50% load.
         let nc = 512;
-        let row: Box<[f64]> = (0..nc).map(|i| (i + 1) as f64).collect();
-        let t = HashCountTable::from_rows(1, nc, vec![Some(row)]);
+        let mut batch = RowBatch::new(1, nc);
+        for (i, x) in batch.stage().iter_mut().enumerate() {
+            *x = (i + 1) as f64;
+        }
+        batch.commit(0);
+        let t = HashCountTable::from_batch_kind(TableKind::Hash, batch);
         for cs in 0..nc {
             assert_eq!(t.get(0, cs), (cs + 1) as f64);
         }
@@ -570,12 +523,10 @@ mod adversarial_tests {
     fn large_vertex_ids_do_not_overflow() {
         let n = 3_000_000;
         let nc = 924; // C(12, 6)
-        let mut rows: Rows = Vec::new();
-        rows.resize_with(n, || None);
-        let mut row = vec![0.0; nc].into_boxed_slice();
-        row[nc - 1] = 42.0;
-        rows[n - 1] = Some(row);
-        let t = HashCountTable::from_rows(n, nc, rows);
+        let mut batch = RowBatch::new(n, nc);
+        batch.stage()[nc - 1] = 42.0;
+        batch.commit(n - 1);
+        let t = HashCountTable::from_batch_kind(TableKind::Hash, batch);
         assert_eq!(t.get(n - 1, nc - 1), 42.0);
         assert_eq!(t.get(n - 2, nc - 1), 0.0);
         assert_eq!(t.live_entries(), 1);
@@ -583,9 +534,11 @@ mod adversarial_tests {
 
     #[test]
     fn totals_are_stable_under_probe_order() {
-        let rows = crate::test_support::sample_rows(101, 13);
-        let t1 = HashCountTable::from_rows(101, 13, rows.clone());
-        let t2 = HashCountTable::from_rows(101, 13, rows);
+        let build = || {
+            let batch = crate::test_support::sample_batch(101, 13);
+            HashCountTable::from_batch_kind(TableKind::Hash, batch)
+        };
+        let (t1, t2) = (build(), build());
         assert_eq!(t1.total(), t2.total());
         assert_eq!(t1.live_entries(), t2.live_entries());
     }

@@ -22,12 +22,13 @@
 //! inactive), so `row_slice` is one bounds-checked slice view and
 //! consecutive active rows are physically adjacent — the property the
 //! colorset-major kernel's sequential sweeps rely on. A [`RowBatch`]
-//! produced by that kernel already *is* this layout, so
-//! [`LazyTable::from_batch_kind`] moves the arena instead of copying rows.
+//! commits its rows in ascending vertex order, so it already *is* this
+//! layout, and [`LazyTable::from_batch_kind`] always moves the arena
+//! instead of copying rows.
 
 use crate::access::{recorder_for, AccessRecorder};
 use crate::batch::{RowBatch, NO_ROW};
-use crate::{CountTable, Rows, TableKind, TableStats};
+use crate::{CountTable, TableKind, TableStats};
 use std::sync::Arc;
 
 /// Arena-backed per-vertex optional rows.
@@ -43,48 +44,9 @@ pub struct LazyTable {
 }
 
 impl CountTable for LazyTable {
-    fn from_rows(n: usize, nc: usize, rows: Rows) -> Self {
-        assert_eq!(rows.len(), n, "row count must equal vertex count");
-        let active = rows
-            .iter()
-            .flatten()
-            .filter(|r| {
-                assert_eq!(r.len(), nc, "row width must equal colorset count");
-                r.iter().any(|&x| x != 0.0)
-            })
-            .count();
-        let mut data = Vec::with_capacity(active * nc);
-        let mut slots = Vec::with_capacity(n);
-        let mut next = 0u32;
-        for row in &rows {
-            match row {
-                Some(r) if r.iter().any(|&x| x != 0.0) => {
-                    slots.push(next);
-                    next += 1;
-                    data.extend_from_slice(r);
-                }
-                // All-zero rows are normalized to "inactive" so every
-                // layout sees the same logical content.
-                _ => slots.push(NO_ROW),
-            }
-        }
-        Self {
-            nc,
-            data,
-            slots,
-            access: recorder_for(n),
-        }
-    }
-
     fn from_batch_kind(_kind: TableKind, mut batch: RowBatch) -> Self {
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
-        if !batch.in_vertex_order() {
-            // Rows committed out of vertex order (owned-subset passes) are
-            // re-laid out, so `total()` sums in vertex order whatever the
-            // order they were computed in.
-            return Self::from_rows(n, nc, batch.into_rows());
-        }
         batch.data.truncate(batch.committed * nc);
         // The arena may carry growth slack from staging; return it so
         // `bytes()` reports (and the process holds) exactly the rows kept.
@@ -190,7 +152,7 @@ impl CountTable for LazyTable {
 mod tests {
     use super::*;
     use crate::dense::DenseTable;
-    use crate::test_support::{check_contract, sample_rows};
+    use crate::test_support::{batch_of, check_contract, sample_batch, sample_rows};
 
     #[test]
     fn satisfies_table_contract() {
@@ -202,17 +164,11 @@ mod tests {
         let n = 1000;
         let nc = 64;
         // Only 10% of vertices active.
-        let rows: Rows = (0..n)
-            .map(|v| {
-                if v % 10 == 0 {
-                    Some(vec![1.0; nc].into_boxed_slice())
-                } else {
-                    None
-                }
-            })
+        let rows: Vec<Option<Vec<f64>>> = (0..n)
+            .map(|v| (v % 10 == 0).then(|| vec![1.0; nc]))
             .collect();
-        let lazy = LazyTable::from_rows(n, nc, rows.clone());
-        let dense = DenseTable::from_rows(n, nc, rows);
+        let lazy = LazyTable::from_batch_kind(TableKind::Lazy, batch_of(nc, &rows));
+        let dense = DenseTable::from_batch_kind(TableKind::Dense, batch_of(nc, &rows));
         assert!(
             lazy.bytes() * 2 < dense.bytes(),
             "lazy {} vs dense {}",
@@ -223,18 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn normalizes_zero_rows_itself() {
-        let rows: Rows = vec![Some(vec![0.0, 0.0].into_boxed_slice())];
-        let t = LazyTable::from_rows(1, 2, rows);
-        assert!(!t.vertex_active(0));
-        assert!(t.row_slice(0).is_none());
-    }
-
-    #[test]
     fn matches_dense_semantics() {
-        let rows = sample_rows(40, 9);
-        let lazy = LazyTable::from_rows(40, 9, rows.clone());
-        let dense = DenseTable::from_rows(40, 9, rows);
+        let lazy = LazyTable::from_batch_kind(TableKind::Lazy, sample_batch(40, 9));
+        let dense = DenseTable::from_batch_kind(TableKind::Dense, sample_batch(40, 9));
         for v in 0..40 {
             for cs in 0..9 {
                 assert_eq!(lazy.get(v, cs), dense.get(v, cs));
@@ -243,10 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_rows_are_adjacent_in_vertex_order() {
-        let mut rows = sample_rows(17, 4);
-        crate::prune_zero_rows(&mut rows);
-        let t = LazyTable::from_rows(17, 4, rows.clone());
+    fn arena_rows_are_adjacent_in_ascending_vertex_order() {
+        let rows = sample_rows(17, 4);
+        let t = LazyTable::from_batch_kind(TableKind::Lazy, batch_of(4, &rows));
         let mut expect_start = 0;
         for (v, row) in rows.iter().enumerate() {
             if let Some(r) = row {
@@ -262,73 +208,36 @@ mod tests {
         }
     }
 
+    /// Arenas past the huge-page threshold reserve their worst case up
+    /// front where a reservation is free (`reservation_is_free`). A table
+    /// built from one keeps exactly its committed rows, whether the arena
+    /// comes from one pass or from `concat`.
     #[test]
-    fn from_batch_matches_from_rows() {
-        let mut rows = sample_rows(23, 5);
-        crate::prune_zero_rows(&mut rows);
-        // Inexact magnitudes make the summation order show in `total()`'s
-        // bits; the reversed commit order is what owned-subset passes
-        // may produce.
-        for (i, x) in rows
-            .iter_mut()
-            .flatten()
-            .flat_map(|r| r.iter_mut())
-            .enumerate()
-        {
-            *x *= (0.37 * i as f64).exp();
-        }
-        let b = LazyTable::from_rows(23, 5, rows.clone());
-        for reverse in [false, true] {
-            let mut batch = RowBatch::new(23, 5);
-            let order: Vec<usize> = match reverse {
-                false => (0..23).collect(),
-                true => (0..23).rev().collect(),
-            };
-            for v in order {
-                if let Some(r) = &rows[v] {
-                    batch.stage().copy_from_slice(r);
+    fn from_batch_keeps_exact_rows() {
+        let keeps_exact_rows = |n: usize, nc: usize, batch: RowBatch, rows: &[Option<Vec<f64>>]| {
+            let live = rows.iter().flatten().count();
+            let a = LazyTable::from_batch_kind(TableKind::Lazy, batch);
+            assert_eq!(a.bytes(), live * nc * 8 + n * 4, "n={n} nc={nc}");
+            assert_eq!(a.data.capacity(), a.data.len(), "n={n} nc={nc}");
+            for (v, row) in rows.iter().enumerate() {
+                assert_eq!(a.row_slice(v), row.as_deref(), "vertex {v}");
+            }
+        };
+        let fill =
+            |batch: &mut RowBatch, rows: &mut [Option<Vec<f64>>], v0: usize, vs: &[usize]| {
+                for &v in vs {
+                    let row = batch.stage();
+                    for (i, x) in row.iter_mut().enumerate() {
+                        *x = (v * 7 + i % 5 + 1) as f64;
+                    }
+                    rows[v0 + v] = Some(row.to_vec());
                     batch.commit(v);
                 }
-            }
-            let a = LazyTable::from_batch_kind(TableKind::Lazy, batch);
-            assert_eq!(a.bytes(), b.bytes());
-            assert_eq!(
-                a.total().to_bits(),
-                b.total().to_bits(),
-                "reverse={reverse}"
-            );
-            for v in 0..23 {
-                assert_eq!(a.row_slice(v), b.row_slice(v), "vertex {v}");
-            }
-        }
-
-        // Arenas past the huge-page threshold reserve their worst case up
-        // front where a reservation is free (`reservation_is_free`). A
-        // table built from one keeps exactly its committed rows,
-        // whether the arena comes from one pass or from `concat`.
-        let keeps_exact_rows = |n: usize, nc: usize, batch: RowBatch, rows: &Rows| {
-            let a = LazyTable::from_batch_kind(TableKind::Lazy, batch);
-            let b = LazyTable::from_rows(n, nc, rows.clone());
-            assert_eq!(a.bytes(), b.bytes(), "n={n} nc={nc}");
-            assert_eq!(a.data.capacity(), a.data.len(), "n={n} nc={nc}");
-            for v in (0..n).filter(|v| rows[*v].is_some()) {
-                assert_eq!(a.row_slice(v), b.row_slice(v), "vertex {v}");
-            }
-        };
-        let fill = |batch: &mut RowBatch, rows: &mut Rows, v0: usize, vs: &[usize]| {
-            for &v in vs {
-                let row = batch.stage();
-                for (i, x) in row.iter_mut().enumerate() {
-                    *x = (v * 7 + i % 5 + 1) as f64;
-                }
-                rows[v0 + v] = Some(row.to_vec().into_boxed_slice());
-                batch.commit(v);
-            }
-        };
+            };
         // A worst case above the threshold that commits only a few rows:
         // the untouched pages of the reservation are free.
         let (n, nc) = (crate::batch::HUGE_ARENA_BYTES / (8 * 64) + 2, 64);
-        let mut rows: Rows = vec![None; n];
+        let mut rows = vec![None; n];
         let mut batch = RowBatch::new(n, nc);
         if crate::batch::reservation_is_free() {
             assert!(batch.data.capacity() >= n * nc, "worst case reserved");
@@ -336,14 +245,14 @@ mod tests {
         fill(&mut batch, &mut rows, 0, &[0, 3, n / 2, n - 1]);
         keeps_exact_rows(n, nc, batch, &rows);
         // The same few rows spread over two such bands.
-        let mut rows: Rows = vec![None; 2 * n];
+        let mut rows = vec![None; 2 * n];
         let mut bands = [RowBatch::new(n, nc), RowBatch::new(n, nc)];
         fill(&mut bands[0], &mut rows, 0, &[1, n / 3]);
         fill(&mut bands[1], &mut rows, n, &[0, n - 1]);
         keeps_exact_rows(2 * n, nc, RowBatch::concat(2 * n, nc, bands.into()), &rows);
         // A concatenation whose exact size crosses the threshold.
         let (n, nc) = (crate::batch::HUGE_ARENA_BYTES / (8 * 4096) + 1, 4096);
-        let mut rows: Rows = vec![None; n + 3];
+        let mut rows = vec![None; n + 3];
         let mut bands = [RowBatch::new(3, nc), RowBatch::new(n, nc)];
         fill(&mut bands[0], &mut rows, 0, &[2]);
         fill(&mut bands[1], &mut rows, 3, &(0..n).collect::<Vec<_>>());

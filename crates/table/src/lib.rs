@@ -17,9 +17,10 @@
 //!   open-addressing table (the paper's `key mod size` with a table sized
 //!   as a factor of the live entries).
 //!
-//! Tables are built from per-vertex rows produced (possibly in parallel) by
-//! the engine; all-zero rows are dropped before construction so every
-//! layout sees the same logical content.
+//! Every table is built from one [`RowBatch`]: the DP stages each vertex's
+//! row into a shared arena and commits only rows with a non-zero entry, in
+//! ascending vertex order, so every layout sees the same logical content
+//! and sums it in the same order.
 //!
 //! # Choosing a layout
 //!
@@ -49,19 +50,18 @@
 //! curves).
 //!
 //! ```
-//! use fascia_table::{prune_zero_rows, CountTable, DenseTable, LazyTable, Rows};
+//! use fascia_table::{CountTable, DenseTable, LazyTable, RowBatch, TableKind};
 //!
-//! // 4 vertices, 3 color-set slots; vertices 1 and 3 never got a count.
-//! let mut rows: Rows = vec![
-//!     Some(vec![2.0, 0.0, 1.0].into_boxed_slice()),
-//!     Some(vec![0.0, 0.0, 0.0].into_boxed_slice()),
-//!     Some(vec![0.0, 4.0, 0.0].into_boxed_slice()),
-//!     None,
-//! ];
-//! prune_zero_rows(&mut rows); // all-zero row 1 becomes None
+//! // 4 vertices, 3 color-set slots; vertices 1 and 3 never got a count,
+//! // so their rows are not committed.
+//! let mut batch = RowBatch::new(4, 3);
+//! batch.stage().copy_from_slice(&[2.0, 0.0, 1.0]);
+//! batch.commit(0);
+//! batch.stage()[1] = 4.0;
+//! batch.commit(2);
 //!
-//! let lazy = LazyTable::from_rows(4, 3, rows.clone());
-//! let dense = DenseTable::from_rows(4, 3, rows);
+//! let lazy = LazyTable::from_batch_kind(TableKind::Lazy, batch.clone());
+//! let dense = DenseTable::from_batch_kind(TableKind::Dense, batch);
 //! assert_eq!(lazy.get(0, 2), 1.0);
 //! assert!(!lazy.vertex_active(1));
 //! assert_eq!(lazy.total(), dense.total()); // layouts agree on content
@@ -153,10 +153,6 @@ pub fn projected_bytes(
     }
 }
 
-/// Per-vertex rows as produced by the DP: `None` means "vertex never
-/// initialized" (all-zero row).
-pub type Rows = Vec<Option<Box<[f64]>>>;
-
 /// Measured storage statistics of a built table.
 ///
 /// Unlike [`CountTable::bytes`]-based estimates aggregated by the engine,
@@ -207,26 +203,12 @@ impl ProbeStats {
 /// A table is immutable once built: the DP always constructs the parent
 /// table from complete child tables, so no in-place mutation is needed.
 pub trait CountTable: Send + Sync + Sized {
-    /// Builds a table from per-vertex rows (each row has `nc` entries).
-    ///
-    /// # Panics
-    /// Panics if `rows.len() != n` or any row length differs from `nc`.
-    fn from_rows(n: usize, nc: usize, rows: Rows) -> Self;
-
-    /// Builds a table with the requested *logical* layout. Concrete
-    /// layouts ignore the hint (they are their own layout); [`AnyTable`]
-    /// dispatches on it — this is the hook the engine's memory-budget
-    /// degradation ladder uses to pick a layout per subtemplate.
-    fn from_rows_kind(kind: TableKind, n: usize, nc: usize, rows: Rows) -> Self {
-        let _ = kind;
-        Self::from_rows(n, nc, rows)
-    }
-
-    /// Builds a table from an arena-staged [`RowBatch`] (the vectorized DP
-    /// kernel's output), honoring `kind` as in
-    /// [`CountTable::from_rows_kind`]. Every layout overrides the default
-    /// with a direct construction so no per-row boxes are allocated; for
-    /// [`LazyTable`] the batch arena is *moved*, not copied.
+    /// Builds a table from a [`RowBatch`], the one construction path.
+    /// Concrete layouts ignore `kind` (they are their own layout);
+    /// [`AnyTable`] dispatches on it — this is the hook the engine's
+    /// memory-budget degradation ladder uses to pick a layout per
+    /// subtemplate. No per-row boxes are allocated; for [`LazyTable`] the
+    /// batch arena is *moved*, not copied.
     ///
     /// ```
     /// use fascia_table::{CountTable, DenseTable, RowBatch, TableKind};
@@ -237,10 +219,7 @@ pub trait CountTable: Send + Sync + Sized {
     /// assert_eq!(t.get(2, 0), 7.0);
     /// assert!(!t.vertex_active(0));
     /// ```
-    fn from_batch_kind(kind: TableKind, batch: RowBatch) -> Self {
-        let (n, nc) = (batch.num_vertices(), batch.num_colorsets());
-        Self::from_rows_kind(kind, n, nc, batch.into_rows())
-    }
+    fn from_batch_kind(kind: TableKind, batch: RowBatch) -> Self;
 
     /// Number of graph vertices this table covers.
     fn num_vertices(&self) -> usize;
@@ -305,48 +284,48 @@ pub trait CountTable: Send + Sync + Sized {
     fn kind(&self) -> TableKind;
 }
 
-/// Drops all-zero rows, normalizing rows before table construction so all
-/// layouts agree on which vertices are "active".
-pub fn prune_zero_rows(rows: &mut Rows) {
-    for row in rows.iter_mut() {
-        if let Some(r) = row {
-            if r.iter().all(|&x| x == 0.0) {
-                *row = None;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
 
-    /// Deterministic sparse test rows.
-    pub fn sample_rows(n: usize, nc: usize) -> Rows {
+    /// Deterministic sparse test rows: `None` marks a vertex without a
+    /// count, and every `Some` row holds a non-zero entry.
+    pub fn sample_rows(n: usize, nc: usize) -> Vec<Option<Vec<f64>>> {
         (0..n)
             .map(|v| {
-                if v % 3 == 2 {
-                    None
-                } else {
-                    let mut row = vec![0.0; nc].into_boxed_slice();
-                    for (cs, slot) in row.iter_mut().enumerate() {
-                        if (v + cs) % 4 == 0 {
-                            *slot = (v * nc + cs + 1) as f64;
-                        }
-                    }
-                    Some(row)
-                }
+                let row: Vec<f64> = (0..nc)
+                    .map(|cs| match (v + cs) % 4 {
+                        0 => (v * nc + cs + 1) as f64,
+                        _ => 0.0,
+                    })
+                    .collect();
+                (v % 3 != 2 && row.iter().any(|&x| x != 0.0)).then_some(row)
             })
             .collect()
+    }
+
+    /// `rows` staged and committed in vertex order.
+    pub fn batch_of(nc: usize, rows: &[Option<Vec<f64>>]) -> RowBatch {
+        let mut batch = RowBatch::new(rows.len(), nc);
+        for (v, row) in rows.iter().enumerate() {
+            if let Some(row) = row {
+                batch.stage().copy_from_slice(row);
+                batch.commit(v);
+            }
+        }
+        batch
+    }
+
+    /// [`sample_rows`] as a batch.
+    pub fn sample_batch(n: usize, nc: usize) -> RowBatch {
+        batch_of(nc, &sample_rows(n, nc))
     }
 
     /// Exercises the full trait contract for a layout.
     pub fn check_contract<T: CountTable>() {
         let (n, nc) = (23, 7);
-        let mut rows = sample_rows(n, nc);
-        prune_zero_rows(&mut rows);
-        let reference = rows.clone();
-        let table = T::from_rows(n, nc, rows);
+        let reference = sample_rows(n, nc);
+        let table = T::from_batch_kind(TableKind::Lazy, batch_of(nc, &reference));
         assert_eq!(table.num_vertices(), n);
         assert_eq!(table.num_colorsets(), nc);
         let mut expect_total = 0.0;
@@ -360,9 +339,9 @@ pub(crate) mod test_support {
                 }
                 Some(row) => {
                     assert!(table.vertex_active(v), "vertex {v} should be active");
-                    for cs in 0..nc {
-                        assert_eq!(table.get(v, cs), row[cs], "v={v} cs={cs}");
-                        expect_total += row[cs];
+                    for (cs, &x) in row.iter().enumerate() {
+                        assert_eq!(table.get(v, cs), x, "v={v} cs={cs}");
+                        expect_total += x;
                     }
                     if let Some(slice) = table.row_slice(v) {
                         assert_eq!(slice, &row[..]);
@@ -394,19 +373,6 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prune_normalizes_zero_rows() {
-        let mut rows: Rows = vec![
-            Some(vec![0.0, 0.0].into_boxed_slice()),
-            Some(vec![1.0, 0.0].into_boxed_slice()),
-            None,
-        ];
-        prune_zero_rows(&mut rows);
-        assert!(rows[0].is_none());
-        assert!(rows[1].is_some());
-        assert!(rows[2].is_none());
-    }
 
     #[test]
     fn kind_names() {
