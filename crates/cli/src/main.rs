@@ -935,6 +935,11 @@ fn cmd_distsim(rest: &[String]) -> Result<i32, CliError> {
     let ranks: usize = rankspec
         .parse()
         .map_err(|_| CliError::Usage(format!("rank count: cannot parse {rankspec:?}")))?;
+    if ranks == 0 {
+        return Err(CliError::Usage(
+            "rank count: 0 ranks cannot hold the graph; need at least 1".to_string(),
+        ));
+    }
     let (mut count, obs) = parse_flags(&rest[3..])?;
     count.parallel = fascia_core::parallel::ParallelMode::Serial;
     for scheme in [PartitionScheme::Block, PartitionScheme::Hash] {

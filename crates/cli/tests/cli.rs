@@ -214,6 +214,22 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn distsim_zero_ranks_is_a_usage_error() {
+    let out = fascia()
+        .args(["distsim", "circuit", "U5-2", "0", "--iters", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("rank count: 0"), "{stderr}");
+    let out = fascia()
+        .args(["distsim", "circuit", "U5-2", "1", "--iters", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+}
+
+#[test]
 fn missing_input_file_exits_3() {
     let out = fascia()
         .args(["info", "/definitely/not/a/real/file.txt"])
