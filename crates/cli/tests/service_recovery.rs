@@ -2,6 +2,8 @@
 //! process: SIGKILL (which no handler can soften) at seed-logged random
 //! points, restart, and bitwise comparison against an uninterrupted run.
 
+use fascia_obs::JobEventKind;
+use fascia_svc::events::parse_event;
 use fascia_svc::{JobReport, JobSpec, JobStatus};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -21,6 +23,20 @@ fn submit(spool: &Path, spec: &JobSpec) {
     let jobs = spool.join("jobs");
     std::fs::create_dir_all(&jobs).unwrap();
     std::fs::write(jobs.join(format!("{}.json", spec.id)), spec.to_json()).unwrap();
+}
+
+/// Complete `attempt-started` lines for job `id` in the spool's event log
+/// (0 before the log exists). A line counts once its newline is written,
+/// so a kill mid-append never counts a torn line.
+fn attempts_started(spool: &Path, id: &str) -> usize {
+    let Ok(text) = std::fs::read_to_string(spool.join("events/events.jsonl")) else {
+        return 0;
+    };
+    text.split_inclusive('\n')
+        .filter(|line| line.ends_with('\n'))
+        .filter_map(parse_event)
+        .filter(|ev| ev.job == id && ev.kind == JobEventKind::AttemptStarted)
+        .count()
 }
 
 fn read_report(spool: &Path, id: &str) -> JobReport {
@@ -156,7 +172,9 @@ fn sigkill_storm_recovery_is_bitwise_equal_to_uninterrupted() {
     assert_eq!(reference.status, JobStatus::Completed);
 
     // Kill storm: delays drawn from a seed-logged LCG so a failure
-    // reproduces by pinning the seed.
+    // reproduces by pinning the seed. Each delay runs from the moment the
+    // restarted service logs its attempt, not from the spawn, so process
+    // start-up and graph load on a loaded host cannot eat the window.
     let seed: u64 = 0x5EED_C0DE;
     println!("kill-point seed: {seed:#x}");
     let mut state = seed;
@@ -175,6 +193,7 @@ fn sigkill_storm_recovery_is_bitwise_equal_to_uninterrupted() {
         if result_path.exists() {
             break;
         }
+        let started_before = attempts_started(&spool, "kill-bw");
         let mut child = fascia()
             .args(["serve", "--once", "--chaos", PACING_CHAOS, "--spool"])
             .arg(&spool)
@@ -184,17 +203,21 @@ fn sigkill_storm_recovery_is_bitwise_equal_to_uninterrupted() {
             .unwrap();
         let delay = next_delay_ms();
         println!("cycle {cycle}: killing after {delay} ms");
-        let mut waited = 0u64;
-        let exited = loop {
-            if waited >= delay {
+        let mut exited = loop {
+            if attempts_started(&spool, "kill-bw") > started_before {
                 break false;
             }
-            std::thread::sleep(Duration::from_millis(5));
-            waited += 5;
             if child.try_wait().unwrap().is_some() {
                 break true;
             }
+            std::thread::sleep(Duration::from_millis(5));
         };
+        let mut waited = 0u64;
+        while !exited && waited < delay {
+            std::thread::sleep(Duration::from_millis(5));
+            waited += 5;
+            exited = child.try_wait().unwrap().is_some();
+        }
         if !exited {
             child.kill().unwrap(); // SIGKILL: no handler, no flush
             kills += 1;
