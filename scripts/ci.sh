@@ -28,13 +28,13 @@ cargo test -q --offline -p fascia-core --lib -- chaos::
 # Release-mode kernel bitwise gate: the suite above runs debug builds,
 # but the kernel's vertex-blocked MAC and the hashed layout's home-window
 # row gather are vectorized only under optimization. The node-level
-# proptest, the window-gather proptest and the entry-point golden must
-# also hold bit for bit in a release build.
+# proptest, the entry-point golden and the whole fascia-table test suite
+# (the window-gather proptest and the contract tests of the one
+# `RowBatch` constructor) must also hold bit for bit in a release build.
 echo "=== release-mode kernel bitwise gate ==="
 cargo test -q --release --offline -p fascia-core --lib -- \
   kernel::tests::cut_batch_matches_scalar_reference
-cargo test -q --release --offline -p fascia-table --lib -- \
-  hashed::window_tests::add_row_into_matches_per_slot_get
+cargo test -q --release --offline -p fascia-table --lib
 cargo test -q --release --offline --test kernel_equivalence
 
 # Observability gate: a real count run with --trace must produce valid
