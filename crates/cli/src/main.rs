@@ -194,7 +194,7 @@ fn usage_text() -> String {
      \x20 motifs <dataset|file> <size> [--iters N]\n\
      \x20 gdd    <dataset|file> [--iters N]\n\
      \x20 sample <dataset|file> <template> <count> [--iters N] [--seed S]\n\
-     \x20 distsim <dataset|file> <template> <ranks> [--iters N]\n\
+     \x20 distsim <dataset|file> <template> <ranks> [--iters N] [--seed S] [--strategy one|balanced] [observability flags]\n\
      \x20 serve  [--spool] DIR [--once] [--stdin] [--chaos SPEC] [--admin-addr HOST:PORT] [--poll-ms N]\n\
      \x20        [--stall-timeout-ms N] [--grace-ms N] [--scan-ms N] [--max-attempts N]\n\
      \x20        [--backoff-base-ms N] [--backoff-cap-ms N]\n\
@@ -924,12 +924,39 @@ fn cmd_info(rest: &[String]) -> Result<i32, CliError> {
     Ok(EXIT_OK)
 }
 
+/// The flags `distsim` honours: `count_distributed` reads only the
+/// iteration count, seed and partition strategy of its count
+/// configuration, and `emit_observability` writes the rest. Any other
+/// counting flag would be parsed and then silently dropped.
+const DISTSIM_FLAGS: &[&str] = &[
+    "--iters",
+    "--seed",
+    "--strategy",
+    "--metrics",
+    "--trace",
+    "--trace-buffer",
+    "--profile",
+    "--profile-hz",
+    "--mem-stats",
+    "--mem-out",
+    "--est-trace",
+];
+
 fn cmd_distsim(rest: &[String]) -> Result<i32, CliError> {
     use fascia_core::distsim::{count_distributed, DistConfig, PartitionScheme};
     let (gspec, tspec, rankspec) = match rest {
         [g, t, r, ..] => (g, t, r),
         _ => return Err(usage_err("distsim needs <dataset|file> <template> <ranks>")),
     };
+    if let Some(flag) = rest[3..]
+        .iter()
+        .find(|a| a.starts_with("--") && !DISTSIM_FLAGS.contains(&a.as_str()))
+    {
+        return Err(CliError::Usage(format!(
+            "distsim does not take '{flag}': it runs a fixed number of serial iterations \
+             and reads only --iters, --seed, --strategy and the observability flags"
+        )));
+    }
     let g = load_graph(gspec)?;
     let t = parse_template(tspec)?;
     let ranks: usize = rankspec

@@ -229,6 +229,46 @@ fn distsim_zero_ranks_is_a_usage_error() {
     assert_eq!(exit_code(&out), 0, "{out:?}");
 }
 
+/// `distsim` rejects, by name, every counting flag its simulation would
+/// ignore, and still takes the ones it reads plus the observability
+/// flags.
+#[test]
+fn distsim_rejects_counting_flags_it_ignores() {
+    let base = ["distsim", "circuit", "U5-2", "2", "--iters", "2"];
+    for extra in [
+        &["--table", "hash"][..],
+        &["--memory-budget", "1"],
+        &["--adaptive"],
+        &["--epsilon", "0.1"],
+        &["--delta", "0.1"],
+        &["--max-iters", "9"],
+        &["--parallel", "inner"],
+        &["--parallel", "serial"],
+        &["--timeout-secs", "5"],
+        &["--checkpoint", "unused.ckpt"],
+        &["--heartbeat", "unused.json"],
+        &["--progress"],
+    ] {
+        let out = fascia().args(base).args(extra).output().unwrap();
+        assert_eq!(exit_code(&out), 2, "{extra:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("'{}'", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{extra:?} ran the simulation");
+    }
+    let out = fascia()
+        .args(base)
+        .args(["--seed", "3", "--strategy", "balanced", "--metrics", "json"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("Block: estimate"), "{stdout}");
+    assert!(stdout.contains("\"schema\":\"fascia-obs/1\""), "{stdout}");
+}
+
 #[test]
 fn missing_input_file_exits_3() {
     let out = fascia()

@@ -1319,7 +1319,7 @@ fn run_iteration<T: CountTable>(
                 let Source::Undirected(g) = src else {
                     unreachable!("directed templates are trees")
                 };
-                let batch = triangle_batch(
+                let batch = triangle_batch::<T>(
                     g,
                     labels,
                     t,
@@ -1354,7 +1354,7 @@ fn run_iteration<T: CountTable>(
                     cm: rm.map(|m| &m.cut),
                 };
                 let _kph = ins.enter(Phase::KernelVectorized, 0);
-                let mut batch = RowBatch::new(n, ctx.nc[node.size as usize]);
+                let mut batch = T::new_batch(n, ctx.nc[node.size as usize]);
                 // The template arc across a directed cut picks which
                 // arcs the neighbor sum walks.
                 match src {
@@ -1489,9 +1489,10 @@ fn run_iteration<T: CountTable>(
 /// Base-case rows for a triangle subtemplate rooted at `node.root`:
 /// ordered neighbor pairs (u, w) of v that close a triangle with distinct
 /// colors and matching labels, with optional base-case instrumentation.
-/// A vertex's row is committed only when it has a colorful hit.
+/// A vertex's row is committed only when it has a colorful hit. Rows are
+/// staged in the batch form layout `T` builds from.
 #[allow(clippy::too_many_arguments)]
-fn triangle_batch(
+fn triangle_batch<T: CountTable>(
     g: &Graph,
     labels: Option<&[u8]>,
     t: &Template,
@@ -1586,7 +1587,7 @@ fn triangle_batch(
             batch.commit(slot_v);
         }
     };
-    let mut batch = RowBatch::new(g.num_vertices(), ctx.nc[3]);
+    let mut batch = T::new_batch(g.num_vertices(), ctx.nc[3]);
     run_pass(&mut batch, inner_parallel, || (), compute, |_, _| {});
     batch
 }

@@ -19,9 +19,10 @@
 //!    `out[i][l] += act[ai[i]][l] * pas[pi[i]][l]`, reading each index
 //!    lane once per block. A node whose active child is the bare root
 //!    vertex looks its one live set up per vertex instead,
-//! 3. **Stage** — rows are staged into one [`RowBatch`] arena
-//!    (zero per-row allocations) that table construction consumes
-//!    directly.
+//! 3. **Stage** — rows are staged into one [`RowBatch`] (zero per-row
+//!    allocations), in the form the table layout builds from: a dense
+//!    arena, or the hashed layout's sparse records. Table construction
+//!    consumes it directly.
 //!
 //! `N(v)` comes from a [`Neighbors`] source: the undirected [`Graph`], or
 //! a [`DiGraph`]'s out- or in-arcs when the directed driver picks the
@@ -550,7 +551,8 @@ pub(crate) fn removal_pairs(rem: &[i32], k: usize) -> Vec<Vec<(u32, u32)>> {
 }
 
 /// Runs one row producer over every vertex of the empty `batch`, banded
-/// across the pool when `inner_parallel`. Each worker builds its scratch
+/// across the pool when `inner_parallel` into band batches of `batch`'s
+/// form ([`RowBatch::empty_like`]). Each worker builds its scratch
 /// with `new_scratch`, calls `compute(scratch, batch, v, slot_v)` per
 /// vertex in ascending order (`slot_v` is `v`'s id within the batch it
 /// fills) and `finish` once after its last vertex.
@@ -570,7 +572,7 @@ pub(crate) fn run_pass<S, N, C, F>(
     let nc = batch.num_colorsets();
     if inner_parallel {
         // Band the vertex range; each worker fills a private batch, and
-        // the in-order concatenation reproduces the serial arena exactly
+        // the in-order concatenation reproduces the serial batch exactly
         // (rows are independent, so band boundaries cannot change them).
         let bands = (rayon::current_num_threads() * 4).max(1);
         let band_len = n.div_ceil(bands).max(64);
@@ -580,7 +582,7 @@ pub(crate) fn run_pass<S, N, C, F>(
             .map(|b| {
                 let start = b * band_len;
                 let end = (start + band_len).min(n);
-                let mut part = RowBatch::new(end - start, nc);
+                let mut part = batch.empty_like(end - start);
                 let mut scratch = new_scratch();
                 for v in start..end {
                     compute(&mut scratch, &mut part, v, v - start);
@@ -797,7 +799,8 @@ mod tests {
     /// of layout `T`, over `src`: the kernel must commit exactly the
     /// reference's rows, bit for bit, in a serial and in a banded pass
     /// (`RowBatch::commit` itself rejects rows committed out of vertex
-    /// order). Templates reach 8 vertices and `k`
+    /// order). Each pass fills a batch from `T::new_batch`, so the hashed
+    /// layout's passes stage sparsely, bands included. Templates reach 8 vertices and `k`
     /// exceeds the size by up to 2; nodes with a single-vertex active
     /// child take the removal path, all others the vertex-blocked MAC.
     /// Each pass tallies its path into [`PATH_HITS`].
@@ -861,7 +864,7 @@ mod tests {
                     cancel: None,
                     cm: None,
                 };
-                let mut batch = RowBatch::new(n, nc_h);
+                let mut batch = T::new_batch(n, nc_h);
                 cut_batch(src, &job, &mut batch);
                 let want = cut_rows_ref(src, &job);
                 let bits = |r: Option<&[f64]>| {
@@ -869,7 +872,7 @@ mod tests {
                 };
                 for (v, row) in want.iter().enumerate() {
                     assert_eq!(
-                        bits(batch.row(v)),
+                        bits(batch.row(v).as_deref()),
                         bits(row.as_deref()),
                         "node {idx} inner={inner}: vertex {v}"
                     );

@@ -24,13 +24,17 @@ pub struct DenseTable {
 
 impl CountTable for DenseTable {
     fn from_batch_kind(_kind: TableKind, batch: RowBatch) -> Self {
+        assert!(
+            !batch.is_sparse(),
+            "DenseTable is built from a dense RowBatch, not a sparse one (see CountTable::new_batch)"
+        );
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
         let mut data = vec![0.0f64; n * nc];
         let mut active = vec![false; n];
         for v in 0..n {
             if let Some(row) = batch.row(v) {
-                data[v * nc..(v + 1) * nc].copy_from_slice(row);
+                data[v * nc..(v + 1) * nc].copy_from_slice(&row);
                 // Committed rows are active by the staging contract (only
                 // non-zero rows are committed), matching the lazy arena's
                 // slot semantics without rescanning every row.
@@ -133,6 +137,12 @@ mod tests {
         // Dense always pays the full n * nc doubles.
         assert!(t.bytes() >= 10 * 5 * 8);
         assert_eq!(t.total(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a sparse one")]
+    fn rejects_a_sparse_batch() {
+        DenseTable::from_batch_kind(TableKind::Dense, RowBatch::new_sparse(3, 2));
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub struct LazyTable {
 
 impl CountTable for LazyTable {
     fn from_batch_kind(_kind: TableKind, mut batch: RowBatch) -> Self {
+        assert!(
+            !batch.is_sparse(),
+            "LazyTable is built from a dense RowBatch, not a sparse one (see CountTable::new_batch)"
+        );
         let n = batch.num_vertices();
         let nc = batch.num_colorsets();
         batch.data.truncate(batch.committed * nc);
@@ -176,6 +180,15 @@ mod tests {
             dense.bytes()
         );
         assert_eq!(lazy.total(), dense.total());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a sparse one")]
+    fn rejects_a_sparse_batch() {
+        let mut batch = RowBatch::new_sparse(3, 2);
+        batch.stage()[1] = 1.0;
+        batch.commit(0);
+        LazyTable::from_batch_kind(TableKind::Lazy, batch);
     }
 
     #[test]

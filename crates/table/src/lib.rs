@@ -18,9 +18,11 @@
 //!   as a factor of the live entries).
 //!
 //! Every table is built from one [`RowBatch`]: the DP stages each vertex's
-//! row into a shared arena and commits only rows with a non-zero entry, in
-//! ascending vertex order, so every layout sees the same logical content
-//! and sums it in the same order.
+//! row and commits only rows with a non-zero entry, in ascending vertex
+//! order, so every layout sees the same logical content and sums it in the
+//! same order. A layout names the batch form it builds from with
+//! [`CountTable::new_batch`]: the dense and lazy layouts take a contiguous
+//! row arena, the hashed layout only the non-zero `(key, value)` records.
 //!
 //! # Choosing a layout
 //!
@@ -221,6 +223,22 @@ pub trait CountTable: Send + Sync + Sized {
     /// ```
     fn from_batch_kind(kind: TableKind, batch: RowBatch) -> Self;
 
+    /// An empty batch of `n` vertices × `nc` colorsets in the form this
+    /// layout builds from. The default is the dense arena
+    /// ([`RowBatch::new`]), which every layout accepts; the hashed layout
+    /// takes the sparse form ([`RowBatch::new_sparse`]), which the dense
+    /// and lazy layouts reject. [`AnyTable`] keeps the default, since its
+    /// layout is chosen only after the batch is filled.
+    ///
+    /// ```
+    /// use fascia_table::{CountTable, HashCountTable, LazyTable};
+    /// assert!(!LazyTable::new_batch(3, 2).is_sparse());
+    /// assert!(HashCountTable::new_batch(3, 2).is_sparse());
+    /// ```
+    fn new_batch(n: usize, nc: usize) -> RowBatch {
+        RowBatch::new(n, nc)
+    }
+
     /// Number of graph vertices this table covers.
     fn num_vertices(&self) -> usize;
 
@@ -306,7 +324,11 @@ pub(crate) mod test_support {
 
     /// `rows` staged and committed in vertex order.
     pub fn batch_of(nc: usize, rows: &[Option<Vec<f64>>]) -> RowBatch {
-        let mut batch = RowBatch::new(rows.len(), nc);
+        fill(RowBatch::new(rows.len(), nc), rows)
+    }
+
+    /// `rows` staged and committed in vertex order into the empty `batch`.
+    pub fn fill(mut batch: RowBatch, rows: &[Option<Vec<f64>>]) -> RowBatch {
         for (v, row) in rows.iter().enumerate() {
             if let Some(row) = row {
                 batch.stage().copy_from_slice(row);
@@ -325,7 +347,7 @@ pub(crate) mod test_support {
     pub fn check_contract<T: CountTable>() {
         let (n, nc) = (23, 7);
         let reference = sample_rows(n, nc);
-        let table = T::from_batch_kind(TableKind::Lazy, batch_of(nc, &reference));
+        let table = T::from_batch_kind(TableKind::Lazy, fill(T::new_batch(n, nc), &reference));
         assert_eq!(table.num_vertices(), n);
         assert_eq!(table.num_colorsets(), nc);
         let mut expect_total = 0.0;

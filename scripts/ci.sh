@@ -69,6 +69,13 @@ echo "=== perf schema & profiler gates ==="
 cargo test -q --offline --test profiler
 cargo test -q --offline -p fascia-bench --test perf
 
+# The repository benchmark's own unit tests (its statistics, schedule,
+# /proc parsing and span bookkeeping): every perfbench claim rests on
+# them, and the workspace run above does not reach them — perfbench is
+# a package of its own.
+echo "=== perfbench unit tests ==="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== perf smoke gate ==="
 cargo build --release -q -p fascia-bench --bin perf --offline
 mkdir -p results/perf
