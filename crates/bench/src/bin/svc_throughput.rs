@@ -82,7 +82,6 @@ fn run_batch(opts: &Opts, chaos: Option<ChaosSpec>) -> Result<(Duration, String)
             },
             once: true,
             chaos,
-            ..ServiceConfig::default()
         },
     )
     .map_err(|e| format!("cannot open spool: {e}"))?;

@@ -196,14 +196,15 @@ fn usage_text() -> String {
      \x20 sample <dataset|file> <template> <count> [--iters N] [--seed S]\n\
      \x20 distsim <dataset|file> <template> <ranks> [--iters N] [--seed S] [--strategy one|balanced] [observability flags]\n\
      \x20 serve  [--spool] DIR [--once] [--stdin] [--chaos SPEC] [--admin-addr HOST:PORT] [--poll-ms N]\n\
-     \x20        [--stall-timeout-ms N] [--grace-ms N] [--scan-ms N] [--max-attempts N]\n\
+     \x20        [--stall-timeout-ms N] [--grace-ms N] [--max-attempts N]\n\
      \x20        [--backoff-base-ms N] [--backoff-cap-ms N]\n\
      \x20        resident counting service: runs fascia-job/1 documents from DIR/jobs (add more any\n\
-     \x20        time; --stdin also queues a JSONL stream), writes durable fascia-job-result/1\n\
-     \x20        documents to DIR/results, retries transient failures with capped jittered backoff,\n\
-     \x20        degrades to honest partial estimates on deadline/budget, and resumes killed jobs\n\
-     \x20        from their checkpoints; --once drains the queue and exits; --chaos (or env\n\
-     \x20        FASCIA_CHAOS) runs a deterministic fault schedule, logged to DIR/chaos.events;\n\
+     \x20        time: a new file wakes an idle daemon at once; --stdin also queues a JSONL\n\
+     \x20        stream), writes durable fascia-job-result/1 documents to DIR/results, retries\n\
+     \x20        transient failures with capped jittered backoff, degrades to honest partial\n\
+     \x20        estimates on deadline/budget, and resumes killed jobs from their checkpoints;\n\
+     \x20        --once drains the queue and exits; --chaos (or env FASCIA_CHAOS) runs a\n\
+     \x20        deterministic fault schedule, logged to DIR/chaos.events;\n\
      \x20        every lifecycle transition lands in DIR/events/events.jsonl (fascia-events/1);\n\
      \x20        --admin-addr serves read-only /healthz /metrics /jobs /jobs/<id> /version over\n\
      \x20        HTTP (port 0 picks a free port; the bound address lands in DIR/admin.addr)\n\

@@ -3,10 +3,11 @@
 //! Thin argument layer over [`fascia_svc::Service`]: parse the spool
 //! path and supervision knobs, optionally ingest a JSONL job stream
 //! from stdin, then hand control to the service loop. SIGINT/SIGTERM
-//! set the shared stop flag, so a signalled daemon finishes (or
-//! detaches) the job in flight, dumps `chaos.events`, and exits with
-//! its summary — anything harsher (SIGKILL) is exactly what the spool's
-//! durable state machine recovers from on the next start.
+//! set the shared stop flag (and interrupt an idle daemon's wait), so a
+//! signalled daemon finishes (or detaches) the job in flight, dumps
+//! `chaos.events`, and exits with its summary — anything harsher
+//! (SIGKILL) is exactly what the spool's durable state machine recovers
+//! from on the next start.
 
 use crate::{flag_parse, flag_value, usage_err, CliError, EXIT_OK, INTERRUPTED};
 use fascia_core::chaos::{ChaosSpec, CHAOS_ENV};
@@ -18,10 +19,7 @@ use std::time::Duration;
 
 pub(crate) fn cmd_serve(rest: &[String]) -> Result<i32, CliError> {
     let mut spool: Option<String> = None;
-    let mut cfg = ServiceConfig {
-        scan_interval: Duration::from_millis(500),
-        ..ServiceConfig::default()
-    };
+    let mut cfg = ServiceConfig::default();
     let mut from_stdin = false;
     let mut admin_addr: Option<String> = None;
     let mut i = 0;
@@ -56,10 +54,6 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<i32, CliError> {
             }
             "--grace-ms" => {
                 cfg.supervisor.grace = Duration::from_millis(flag_parse(rest, i, "--grace-ms")?);
-                i += 1;
-            }
-            "--scan-ms" => {
-                cfg.scan_interval = Duration::from_millis(flag_parse(rest, i, "--scan-ms")?);
                 i += 1;
             }
             "--max-attempts" => {

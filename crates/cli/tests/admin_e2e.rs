@@ -72,14 +72,7 @@ fn daemon_admin_endpoint_serves_live_telemetry_and_drains_on_sigterm() {
     // Port 0: the kernel picks a free port; the daemon publishes the
     // bound address in <spool>/admin.addr for exactly this handshake.
     let child = fascia()
-        .args([
-            "serve",
-            "--scan-ms",
-            "50",
-            "--admin-addr",
-            "127.0.0.1:0",
-            "--spool",
-        ])
+        .args(["serve", "--admin-addr", "127.0.0.1:0", "--spool"])
         .arg(&spool)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -181,6 +181,12 @@ impl Profiler {
         PhaseId((names.len() - 1) as u32)
     }
 
+    /// Every interned phase name, in id order — the run's phase
+    /// taxonomy, whether or not a tick ever sampled a phase.
+    pub fn phase_names(&self) -> Vec<String> {
+        self.names.lock().unwrap().clone()
+    }
+
     /// Publishes `id` as the current thread's innermost phase until the
     /// returned guard drops. One relaxed store + one release `fetch_add`;
     /// never a lock or allocation.
@@ -461,6 +467,7 @@ mod tests {
         let b = p.intern("beta");
         assert_ne!(a, b);
         assert_eq!(p.intern("alpha"), a);
+        assert_eq!(p.phase_names(), ["alpha", "beta"]);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod job;
 pub mod pool;
 pub mod spool;
 pub mod supervisor;
+mod watch;
 
 pub use admin::{AdminConfig, AdminServer, AdminState};
 pub use backoff::BackoffPolicy;
@@ -38,6 +39,8 @@ pub use job::{JobError, JobReport, JobSpec, JobStatus, JOB_SCHEMA, RESULT_SCHEMA
 pub use pool::GraphPool;
 pub use spool::Spool;
 pub use supervisor::{Supervisor, SupervisorConfig};
+use watch::JobsWatch;
+pub use watch::IDLE_RESCAN;
 
 use fascia_core::chaos::{Chaos, ChaosRun, ChaosSpec, IoSite};
 use fascia_core::resilience::atomic_write;
@@ -47,7 +50,6 @@ use std::collections::HashMap;
 use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Service-level configuration.
 #[derive(Debug, Clone, Default)]
@@ -55,10 +57,8 @@ pub struct ServiceConfig {
     /// Supervision knobs (backoff, poll, stall timeout).
     pub supervisor: SupervisorConfig,
     /// Drain the queue once and exit (tests, batch runs). Off = daemon:
-    /// keep rescanning the spool for new jobs.
+    /// wait on an inotify watch of `jobs/` whenever the queue is empty.
     pub once: bool,
-    /// Daemon mode: how often to rescan an empty queue.
-    pub scan_interval: Duration,
     /// Chaos schedule for soak runs.
     pub chaos: Option<ChaosSpec>,
 }
@@ -132,9 +132,10 @@ pub struct Service {
     metrics: Arc<Metrics>,
     /// The `fascia-events/1` lifecycle log under `<spool>/events/`.
     events: EventLog,
-    /// First-sighting wall-clock label per job id — the queue-wait
-    /// anchor, and the guard that emits `submitted` exactly once per
-    /// process.
+    /// Submission wall-clock label per job id still without a durable
+    /// result — the queue-wait anchor, and the guard that emits
+    /// `submitted` exactly once per process. An entry goes when the
+    /// job's result is written, so the map holds at most the queue.
     submitted_at: Mutex<HashMap<String, u64>>,
 }
 
@@ -143,7 +144,7 @@ impl Service {
     /// Sweeps stale `.tmp` staging files before anything else runs.
     pub fn open(root: impl Into<std::path::PathBuf>, cfg: ServiceConfig) -> std::io::Result<Self> {
         let spool = Spool::open(root)?;
-        let tmp_swept = spool.sweep_tmp();
+        spool.sweep_tmp();
         let chaos = cfg.chaos.clone().map(|s| Arc::new(Chaos::new(s)));
         let svc_run = chaos.as_ref().map(|c| c.begin_run());
         let pool = GraphPool::new(svc_run.clone());
@@ -173,7 +174,7 @@ impl Service {
         ] {
             metrics.histogram(name);
         }
-        let mut svc = Self {
+        Ok(Self {
             spool,
             pool,
             cfg,
@@ -183,10 +184,7 @@ impl Service {
             metrics,
             events,
             submitted_at: Mutex::new(HashMap::new()),
-        };
-        svc.cfg.scan_interval = svc.cfg.scan_interval.max(Duration::from_millis(10));
-        let _ = tmp_swept; // recorded in run()'s summary
-        Ok(svc)
+        })
     }
 
     /// The spool this service serves.
@@ -212,18 +210,18 @@ impl Service {
         }
     }
 
-    /// Records the job's first sighting (ingest or spool scan): emits
-    /// `submitted` once per id per process and anchors its queue wait.
-    fn note_submitted(&self, clock: &dyn Clock, id: &str) -> u64 {
+    /// Records the job's first sighting (ingest or spool scan) as
+    /// submitted at `at`: emits `submitted` once per id per process and
+    /// anchors its queue wait. Returns the anchor in force.
+    fn note_submitted(&self, id: &str, at: u64) -> u64 {
         let mut map = self.submitted_at.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&at) = map.get(id) {
-            return at;
+        if let Some(&first) = map.get(id) {
+            return first;
         }
-        let now = clock.wall_unix_ms();
-        map.insert(id.to_string(), now);
+        map.insert(id.to_string(), at);
         drop(map);
-        self.emit(JobEvent::new(now, id, JobEventKind::Submitted, 0));
-        now
+        self.emit(JobEvent::new(at, id, JobEventKind::Submitted, 0));
+        at
     }
 
     /// Refreshes the queue gauges from a spool snapshot.
@@ -254,7 +252,7 @@ impl Service {
             match JobSpec::from_json(&line) {
                 Ok(spec) => {
                     self.spool.submit(&spec.id, &spec.to_json())?;
-                    self.note_submitted(clock, &spec.id);
+                    self.note_submitted(&spec.id, clock.wall_unix_ms());
                     accepted += 1;
                 }
                 Err(e) => {
@@ -285,7 +283,13 @@ impl Service {
             metrics: Some(&self.metrics),
         };
         let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed));
+        // A daemon registers its watch before the first scan, so a job
+        // that lands during any pass leaves an event behind.
+        let watch = (!self.cfg.once).then(|| JobsWatch::new(&self.spool.root().join("jobs")));
         loop {
+            if let Some(w) = &watch {
+                w.drain();
+            }
             self.update_queue_gauges(clock);
             let pending = self.spool.pending_jobs().unwrap_or_default();
             let mut ran_any = false;
@@ -305,8 +309,11 @@ impl Service {
                     continue;
                 }
                 ran_any = true;
-                let submitted_ms = self.note_submitted(clock, &id);
+                // A job dropped into jobs/ has waited since its file
+                // landed: anchor at its mtime, never later than now.
                 let now = clock.wall_unix_ms();
+                let landed = spool::mtime_unix_ms(&path).map_or(now, |m| m.min(now));
+                let submitted_ms = self.note_submitted(&id, landed);
                 self.emit(JobEvent::new(now, &id, JobEventKind::Dequeued, 0));
                 self.metrics
                     .histogram("svc.queue.wait_ms")
@@ -354,7 +361,13 @@ impl Service {
                 self.metrics
                     .histogram("svc.job.e2e_ms")
                     .record(report.elapsed_ms);
-                if self.write_result(clock, &report).is_err() {
+                if self.write_result(clock, &report).is_ok() {
+                    // Durable now: `has_result` skips the job from here on.
+                    self.submitted_at
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .remove(&report.id);
+                } else {
                     summary.result_write_failures += 1;
                     eprintln!(
                         "fascia-svc: could not record result for job {} (retries exhausted)",
@@ -368,7 +381,9 @@ impl Service {
                 break;
             }
             if !ran_any {
-                clock.sleep(self.cfg.scan_interval);
+                if let Some(w) = &watch {
+                    w.wait(clock);
+                }
             }
         }
         self.update_queue_gauges(clock);
@@ -478,5 +493,34 @@ mod tests {
         let text = s.to_json();
         assert!(text.contains("\"schema\":\"fascia-svc-report/1\""));
         assert!(text.contains("\"completed\":2"));
+    }
+
+    /// Service state must not grow with uptime: a job's submission
+    /// anchor goes once its terminal result is durable.
+    #[test]
+    fn submission_anchors_are_dropped_with_durable_results() {
+        let root = std::env::temp_dir().join(format!("fascia-svc-anchors-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = ServiceConfig {
+            once: true,
+            ..ServiceConfig::default()
+        };
+        let svc = Service::open(&root, cfg).unwrap();
+        let mut jobs = String::new();
+        for i in 0..3 {
+            let mut spec = JobSpec::new(&format!("anchor-{i}"), "circuit", "path3");
+            spec.iterations = 1;
+            jobs.push_str(&spec.to_json());
+            jobs.push('\n');
+        }
+        svc.ingest_jsonl(&clock::MonotonicClock, jobs.as_bytes())
+            .unwrap();
+        // A job whose file cannot be parsed still gets a terminal result.
+        svc.spool().submit("anchor-bad", "not json").unwrap();
+        assert_eq!(svc.submitted_at.lock().unwrap().len(), 3);
+        let summary = svc.run(&clock::MonotonicClock, None);
+        assert_eq!((summary.completed, summary.failed), (3, 1), "{summary:?}");
+        assert!(svc.submitted_at.lock().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

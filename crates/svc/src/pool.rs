@@ -118,9 +118,11 @@ mod tests {
     use super::*;
     use std::io::Write as _;
 
-    fn tmp_edge_list() -> std::path::PathBuf {
+    /// A per-test file: tests run in parallel, and one test's remove or
+    /// re-create must not race another's load.
+    fn tmp_edge_list(tag: &str) -> std::path::PathBuf {
         let path =
-            std::env::temp_dir().join(format!("fascia-pool-test-{}.txt", std::process::id()));
+            std::env::temp_dir().join(format!("fascia-pool-test-{tag}-{}.txt", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         writeln!(f, "0 1\n1 2\n2 3\n3 0\n0 2").unwrap();
         path
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn caches_one_instance_per_spec() {
-        let path = tmp_edge_list();
+        let path = tmp_edge_list("cache");
         let spec = path.to_string_lossy().to_string();
         let pool = GraphPool::new(None);
         let a = pool.get(&spec).unwrap();
@@ -153,7 +155,7 @@ mod tests {
         // all of which fire at probability 1.
         let spec: ChaosSpec = "io_graph=1".parse().unwrap();
         let chaos = Arc::new(Chaos::new(spec));
-        let path = tmp_edge_list();
+        let path = tmp_edge_list("faults");
         let gspec = path.to_string_lossy().to_string();
         let pool = GraphPool::new(Some(chaos.begin_run()));
         assert!(pool.get(&gspec).is_err());

@@ -172,12 +172,7 @@ impl Spool {
                 continue;
             }
             depth += 1;
-            let mtime_ms = std::fs::metadata(&path)
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                .map(|d| d.as_millis() as u64);
-            if let Some(ms) = mtime_ms {
+            if let Some(ms) = mtime_unix_ms(&path) {
                 oldest = Some(oldest.map_or(ms, |o| o.min(ms)));
             }
         }
@@ -203,6 +198,14 @@ impl Spool {
         }
         removed
     }
+}
+
+/// A file's mtime in unix milliseconds: when a job file landed in
+/// `jobs/`, the anchor of its queue wait and of the spool-lag gauge.
+pub(crate) fn mtime_unix_ms(path: &Path) -> Option<u64> {
+    let modified = std::fs::metadata(path).and_then(|m| m.modified()).ok()?;
+    let since_epoch = modified.duration_since(std::time::UNIX_EPOCH).ok()?;
+    Some(since_epoch.as_millis() as u64)
 }
 
 #[cfg(test)]

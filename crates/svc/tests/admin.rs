@@ -266,7 +266,6 @@ fn concurrent_scraping_does_not_perturb_chaos_replay() {
                 supervisor: fast_supervision(),
                 once: true,
                 chaos: Some(chaos.clone()),
-                ..ServiceConfig::default()
             },
         )
         .unwrap();

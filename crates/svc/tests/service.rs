@@ -7,6 +7,7 @@ use fascia_core::engine::{count_template, CountConfig};
 use fascia_core::resilience::Checkpoint;
 use fascia_core::stats::StopRule;
 use fascia_graph::io::load_edge_list;
+use fascia_obs::JobEventKind;
 use fascia_svc::supervisor::SupervisorConfig;
 use fascia_svc::{
     BackoffPolicy, JobReport, JobSpec, JobStatus, MonotonicClock, Service, ServiceConfig,
@@ -89,6 +90,46 @@ fn clean_job_completes_end_to_end() {
     let again = svc.run(&MonotonicClock, None);
     assert_eq!(again.skipped, 1);
     assert_eq!(again.completed, 0);
+
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_file(&graph);
+}
+
+/// A job file dropped into `jobs/` has waited since it landed, not since
+/// the scan that found it: the `submitted` event and the
+/// `svc.queue.wait_ms` histogram both carry the real wait.
+#[test]
+fn queue_wait_counts_from_the_job_files_landing() {
+    let graph = graph_file("wait");
+    let root = tmp_dir("wait");
+    let svc = Service::open(
+        &root,
+        ServiceConfig {
+            supervisor: fast_supervision(),
+            once: true,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let mut spec = JobSpec::new("waited", &graph.to_string_lossy(), "path3");
+    spec.iterations = 2;
+    svc.spool().submit(&spec.id, &spec.to_json()).unwrap();
+    std::thread::sleep(Duration::from_millis(60));
+    assert_eq!(svc.run(&MonotonicClock, None).completed, 1);
+
+    let events = fascia_svc::events::read_events(&svc.spool().events_path());
+    let at = |kind: JobEventKind| {
+        events
+            .iter()
+            .find(|e| e.kind == kind)
+            .map(|e| e.ts_unix_ms)
+            .unwrap()
+    };
+    let waited = at(JobEventKind::Dequeued) - at(JobEventKind::Submitted);
+    assert!(waited >= 50, "submitted only {waited} ms before dequeue");
+    let hist = svc.metrics().histogram("svc.queue.wait_ms");
+    assert_eq!(hist.count(), 1);
+    assert!(hist.min().unwrap() >= 50, "queue wait {:?} ms", hist.min());
 
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_file(&graph);
@@ -290,7 +331,6 @@ fn persistent_checkpoint_faults_exhaust_retries_with_typed_error() {
             supervisor: fast_supervision(),
             once: true,
             chaos: Some("seed=3,io_ckpt=1".parse::<ChaosSpec>().unwrap()),
-            ..ServiceConfig::default()
         },
     )
     .unwrap();
@@ -335,7 +375,6 @@ fn stalled_worker_is_declared_dead_via_heartbeat_sequence() {
             // Every iteration stalls for 3s — far beyond the 120ms
             // stall timeout, so the heartbeat seq never advances.
             chaos: Some("seed=5,stall=1,stall_ms=3000".parse::<ChaosSpec>().unwrap()),
-            ..ServiceConfig::default()
         },
     )
     .unwrap();
@@ -386,7 +425,6 @@ fn chaos_soak_terminates_every_job_and_replays_byte_for_byte() {
                 supervisor: fast_supervision(),
                 once: true,
                 chaos: Some(chaos.clone()),
-                ..ServiceConfig::default()
             },
         )
         .unwrap();

@@ -140,11 +140,12 @@ cmp "$ESTDIR/est_on.txt" "$ESTDIR/est_off.txt"
 # plane on an ephemeral port, scraped with curl exactly as an operator
 # would. Asserts the liveness answer, the Prometheus service series, the
 # job table, and that every line the daemon wrote to the events log is a
-# fascia-events/1 record.
+# fascia-events/1 record. A second job, dropped into the spool the way an
+# operator would (write, then mv), must wake the idle daemon.
 echo "=== live admin-endpoint gate ==="
 printf '{"schema":"fascia-job/1","id":"ci-admin","graph":"circuit","template":"path4","iterations":4,"seed":11}\n' \
   > "$ADMINDIR/job.jsonl"
-./target/debug/fascia serve --spool "$ADMINDIR/spool" --scan-ms 50 \
+./target/debug/fascia serve --spool "$ADMINDIR/spool" \
   --admin-addr 127.0.0.1:0 --stdin < "$ADMINDIR/job.jsonl" \
   > "$ADMINDIR/serve.out" 2> "$ADMINDIR/serve.err" &
 SERVE_PID=$!
@@ -164,6 +165,15 @@ grep -q '^svc_jobs_completed 1' "$ADMINDIR/metrics.prom"
 curl -sf "http://$ADMIN_ADDR/jobs" | grep -q '"schema":"fascia-jobs/1"'
 curl -sf "http://$ADMIN_ADDR/jobs/ci-admin" | grep -q '"schema":"fascia-job-timeline/1"'
 ! grep -qv '"schema":"fascia-events/1"' "$ADMINDIR/spool/events/events.jsonl"
+printf '{"schema":"fascia-job/1","id":"ci-admin-2","graph":"circuit","template":"path4","iterations":4,"seed":12}\n' \
+  > "$ADMINDIR/ci-admin-2.json"
+mv "$ADMINDIR/ci-admin-2.json" "$ADMINDIR/spool/jobs/ci-admin-2.json"
+for _ in $(seq 1 100); do
+  [ -f "$ADMINDIR/spool/results/ci-admin-2.json" ] && break
+  sleep 0.1
+done
+curl -sf "http://$ADMIN_ADDR/metrics" > "$ADMINDIR/metrics.prom"
+grep -q '^svc_jobs_completed 2' "$ADMINDIR/metrics.prom"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""

@@ -162,12 +162,18 @@ fn profiler_attributes_most_wall_time_to_named_phases() {
         "only {:.1}% of {total} samples attributed ({idle} idle)",
         attributed * 100.0
     );
-    // The taxonomy covers the span names the flight recorder uses.
+    // The taxonomy covers the span names the flight recorder uses. It is
+    // read from the interned names: a short phase such as `coloring` may
+    // draw no sample at all in one run.
+    let taxonomy = profiler.phase_names();
+    for expect in ["iteration", "coloring", "wave"] {
+        assert!(
+            taxonomy.iter().any(|n| n == expect),
+            "phase {expect} missing: {taxonomy:?}"
+        );
+    }
     let report = profiler.report();
     let names: Vec<&str> = report.iter().map(|s| s.name.as_str()).collect();
-    for expect in ["iteration", "coloring", "wave"] {
-        assert!(names.contains(&expect), "phase {expect} missing: {names:?}");
-    }
     assert!(
         names.iter().any(|n| n.starts_with("dp.n")),
         "no DP node phases in: {names:?}"
