@@ -84,7 +84,7 @@ pub struct ServiceSummary {
     pub events_write_failures: u64,
     /// Trace-ring events dropped across all attempts (full rings).
     pub trace_events_dropped: u64,
-    /// Stale `.tmp` staging files swept at startup.
+    /// Stale `.tmp` staging files swept when the service opened.
     pub tmp_swept: usize,
     /// Chaos events fired (0 without a schedule).
     pub chaos_events: usize,
@@ -137,6 +137,8 @@ pub struct Service {
     /// `submitted` exactly once per process. An entry goes when the
     /// job's result is written, so the map holds at most the queue.
     submitted_at: Mutex<HashMap<String, u64>>,
+    /// Stale `.tmp` staging files [`Service::open`] swept.
+    tmp_swept: usize,
 }
 
 impl Service {
@@ -144,7 +146,7 @@ impl Service {
     /// Sweeps stale `.tmp` staging files before anything else runs.
     pub fn open(root: impl Into<std::path::PathBuf>, cfg: ServiceConfig) -> std::io::Result<Self> {
         let spool = Spool::open(root)?;
-        spool.sweep_tmp();
+        let tmp_swept = spool.sweep_tmp();
         let chaos = cfg.chaos.clone().map(|s| Arc::new(Chaos::new(s)));
         let svc_run = chaos.as_ref().map(|c| c.begin_run());
         let pool = GraphPool::new(svc_run.clone());
@@ -184,6 +186,7 @@ impl Service {
             metrics,
             events,
             submitted_at: Mutex::new(HashMap::new()),
+            tmp_swept,
         })
     }
 
@@ -269,10 +272,9 @@ impl Service {
     /// once; the summary says what happened.
     pub fn run(&self, clock: &dyn Clock, stop: Option<&AtomicBool>) -> ServiceSummary {
         let mut summary = ServiceSummary {
-            tmp_swept: 0, // swept in open(); re-sweep below is what this run saw
+            tmp_swept: self.tmp_swept,
             ..ServiceSummary::default()
         };
-        summary.tmp_swept = self.spool.sweep_tmp();
         let sup = Supervisor {
             spool: &self.spool,
             pool: &self.pool,

@@ -135,6 +135,30 @@ fn queue_wait_counts_from_the_job_files_landing() {
     let _ = std::fs::remove_file(&graph);
 }
 
+/// A staging file left by a writer killed mid-submit is swept when the
+/// service opens, and the run's summary reports it.
+#[test]
+fn stale_tmp_file_is_swept_and_reported() {
+    let root = tmp_dir("swept");
+    std::fs::create_dir_all(root.join("jobs")).unwrap();
+    let stale = root.join("jobs").join("x.json.tmp");
+    std::fs::write(&stale, "{\"schema\":").unwrap();
+    let svc = Service::open(
+        &root,
+        ServiceConfig {
+            once: true,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let summary = svc.run(&MonotonicClock, None);
+    assert_eq!(summary.tmp_swept, 1, "{summary:?}");
+    assert_eq!(summary.jobs_seen, 0);
+    assert!(!stale.exists());
+    assert!(summary.to_json().contains("\"tmp_swept\":1"));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn malformed_and_unloadable_jobs_reach_typed_terminal_results() {
     let root = tmp_dir("bad");

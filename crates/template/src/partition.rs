@@ -156,7 +156,7 @@ impl PartitionTree {
             node.canon_id = i as u32;
         }
         self.num_classes = self.nodes.len();
-        self.unique_order = compute_unique_order(&self.nodes, self.num_classes);
+        self.unique_order = ClassDag::new(&self.nodes, self.num_classes).min_peak_order();
         self
     }
 
@@ -177,8 +177,18 @@ impl PartitionTree {
 
     /// Bottom-up computation order over *representative* nodes: exactly one
     /// node per canonical class, children always before parents. This is
-    /// "the order in which the subtemplates are accessed" from the paper,
-    /// chosen to minimize live tables.
+    /// "the order in which the subtemplates are accessed" from the paper.
+    ///
+    /// It minimizes the peak bytes of live tables, found by an exact search
+    /// over the downsets of the class DAG. A class of `h` vertices weighs
+    /// `C(k, h)`, to which every layout's table size is proportional. A
+    /// table is allocated while its children are still live and is freed
+    /// once its last consumer is built, as the engine does; the root's is
+    /// held for the final sum. Each class is represented by the first node
+    /// of it that an active-then-passive depth-first walk meets. Where
+    /// that walk's post-order already reaches the minimum it is the order
+    /// used; otherwise the order is the deterministic optimum that prefers
+    /// the walk's earlier classes.
     pub fn unique_order(&self) -> &[u32] {
         &self.unique_order
     }
@@ -197,8 +207,9 @@ impl PartitionTree {
     /// For each canonical class, how many times its table is read as a
     /// child of a representative internal node, plus one for the root class
     /// (whose table is read by the final summation). Used by the engine to
-    /// free tables as soon as all their consumers are done — the paper's
-    /// observation that at most a handful of tables is ever live.
+    /// free tables as soon as all their consumers are done; the scheduler
+    /// behind [`PartitionTree::unique_order`] models the same lifetimes.
+    /// Classes no representative reaches count 0.
     pub fn class_use_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.num_classes];
         for &idx in &self.unique_order {
@@ -231,7 +242,9 @@ impl PartitionTree {
 
     /// Peak number of simultaneously live tables under the engine's
     /// free-when-done policy (diagnostic; the paper reports "at most four"
-    /// for its ordering).
+    /// for its ordering). The order minimizes bytes, not tables: under
+    /// one-at-a-time every named template stays within four, balanced
+    /// ones within five.
     pub fn peak_live_tables(&self) -> usize {
         let mut uses = self.class_use_counts();
         let mut live: Vec<bool> = vec![false; self.num_classes];
@@ -309,7 +322,7 @@ impl<'a> Builder<'a> {
             }
         }
         let num_classes = b.canon_ids.len();
-        let unique_order = compute_unique_order(&nodes, num_classes);
+        let unique_order = ClassDag::new(&nodes, num_classes).min_peak_order();
         Some(PartitionTree {
             nodes,
             unique_order,
@@ -460,29 +473,191 @@ fn component_without(t: &Template, from: u8, avoid: u8, mask: VertMask) -> VertM
     m
 }
 
-/// Post-order walk emitting one representative node per canonical class,
-/// children before parents.
-fn compute_unique_order(nodes: &[SubNode], num_classes: usize) -> Vec<u32> {
-    let mut emitted = vec![false; num_classes];
-    let mut order = Vec::with_capacity(num_classes);
-    fn visit(nodes: &[SubNode], idx: u32, emitted: &mut [bool], order: &mut Vec<u32>) {
-        let node = &nodes[idx as usize];
-        if emitted[node.canon_id as usize] {
-            return;
+/// Iterates the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
+/// The canonical classes the DP builds, as a DAG over dense ids.
+///
+/// An active-first depth-first walk from the root fixes, for every class
+/// it reaches, one representative node (the first node of the class it
+/// meets) and with it the class's two children. Dense ids follow the
+/// order in which that walk finishes the classes, so id order is itself a
+/// children-first order: the reference that [`ClassDag::min_peak_order`]
+/// breaks ties toward. The root class finishes last.
+struct ClassDag {
+    /// Representative node of each class.
+    rep: Vec<u32>,
+    /// Each class's children, as a mask of ids (0 for a base case).
+    kids: Vec<u64>,
+    /// Each class's consumers, as a mask of ids.
+    parents: Vec<u64>,
+    /// `C(k, h)` for a class of `h` vertices: every layout's table size
+    /// is proportional to it.
+    weight: Vec<u64>,
+    /// The classes with children (cut nodes).
+    internal: u64,
+}
+
+impl ClassDag {
+    fn new(nodes: &[SubNode], num_classes: usize) -> Self {
+        fn visit(
+            nodes: &[SubNode],
+            idx: u32,
+            dense: &mut [Option<usize>],
+            dag: &mut ClassDag,
+        ) -> usize {
+            let node = &nodes[idx as usize];
+            if let Some(d) = dense[node.canon_id as usize] {
+                return d;
+            }
+            let kids = match node.kind {
+                NodeKind::Cut { active, passive } => {
+                    (1u64 << visit(nodes, active, dense, dag))
+                        | (1u64 << visit(nodes, passive, dense, dag))
+                }
+                NodeKind::Vertex | NodeKind::Triangle { .. } => 0,
+            };
+            let d = dag.rep.len();
+            dense[node.canon_id as usize] = Some(d);
+            dag.rep.push(idx);
+            dag.kids.push(kids);
+            dag.weight.push(fascia_combin_choose(
+                nodes[0].size as usize,
+                node.size as usize,
+            ));
+            if kids != 0 {
+                dag.internal |= 1 << d;
+            }
+            d
         }
-        // Mark before recursion would be wrong (children must precede),
-        // but cycles are impossible in a partition tree.
-        if let NodeKind::Cut { active, passive } = node.kind {
-            visit(nodes, active, emitted, order);
-            visit(nodes, passive, emitted, order);
+        let mut dag = ClassDag {
+            rep: Vec::new(),
+            kids: Vec::new(),
+            parents: Vec::new(),
+            weight: Vec::new(),
+            internal: 0,
+        };
+        visit(nodes, 0, &mut vec![None; num_classes], &mut dag);
+        // A partition tree has 2k - 1 nodes, so k <= 20 fits the masks.
+        assert!(dag.rep.len() <= 64, "class masks are 64 bits wide");
+        dag.parents = vec![0; dag.rep.len()];
+        for (d, &kids) in dag.kids.iter().enumerate() {
+            for c in bits(kids) {
+                dag.parents[c] |= 1 << d;
+            }
         }
-        if !emitted[node.canon_id as usize] {
-            emitted[node.canon_id as usize] = true;
-            order.push(idx);
-        }
+        dag
     }
-    visit(nodes, 0, &mut emitted, &mut order);
-    order
+
+    fn full(&self) -> u64 {
+        u64::MAX >> (64 - self.rep.len())
+    }
+
+    /// Weight of the tables held once the classes in `done` are built: a
+    /// class is freed when its last consumer exists, and the root's table
+    /// is held for the final sum.
+    fn live(&self, done: u64) -> u64 {
+        let root = self.rep.len() - 1;
+        bits(done)
+            .filter(|&c| c == root || self.parents[c] & !done != 0)
+            .map(|c| self.weight[c])
+            .sum()
+    }
+
+    /// The peak of evaluating the classes in `order`: building class `c`
+    /// after the set `done` holds `live(done) + weight[c]`, since children
+    /// are freed only after their parent exists, as the engine does.
+    fn peak(&self, order: &[usize]) -> u64 {
+        let mut done = 0u64;
+        let mut peak = 0;
+        for &c in order {
+            peak = peak.max(self.live(done) + self.weight[c]);
+            done |= 1 << c;
+        }
+        peak
+    }
+
+    /// The cut classes that can be built next after `done`, each with the
+    /// peak of its step and the computed set after it. A cut's missing
+    /// base-case children (vertices and triangles) are built just before
+    /// it: holding a childless table any longer is never better, since the
+    /// first consumer's step sees the same live set either way and every
+    /// step in between holds one table less.
+    fn moves(&self, done: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let live = self.live(done);
+        bits(self.internal & !done).filter_map(move |c| {
+            let missing = self.kids[c] & !done;
+            (missing & self.internal == 0).then(|| {
+                let step =
+                    live + bits(missing).map(|b| self.weight[b]).sum::<u64>() + self.weight[c];
+                (c, step, done | missing | 1 << c)
+            })
+        })
+    }
+
+    /// The lowest peak over the remaining steps of any children-first
+    /// completion of `done`, memoized on `done`.
+    fn best(&self, done: u64, memo: &mut HashMap<u64, u64>) -> u64 {
+        if done == self.full() {
+            return 0;
+        }
+        if let Some(&peak) = memo.get(&done) {
+            return peak;
+        }
+        let mut best = u64::MAX;
+        for (_, step, next) in self.moves(done) {
+            if step < best {
+                best = best.min(step.max(self.best(next, memo)));
+            }
+        }
+        memo.insert(done, best);
+        best
+    }
+
+    /// Representative nodes of all classes, in [`ClassDag::min_peak_ids`]
+    /// order.
+    fn min_peak_order(&self) -> Vec<u32> {
+        self.min_peak_ids()
+            .into_iter()
+            .map(|c| self.rep[c])
+            .collect()
+    }
+
+    /// A children-first order of all classes whose [`ClassDag::peak`] is
+    /// the lowest any such order reaches. The reference (id) order is kept
+    /// whenever it is optimal; otherwise each step takes the lowest-id cut
+    /// that still completes within the optimum.
+    fn min_peak_ids(&self) -> Vec<usize> {
+        let reference: Vec<usize> = (0..self.rep.len()).collect();
+        if self.internal == 0 {
+            return reference;
+        }
+        let mut memo = HashMap::new();
+        let optimum = self.best(0, &mut memo);
+        if self.peak(&reference) == optimum {
+            return reference;
+        }
+        let mut done = 0u64;
+        let mut order = Vec::with_capacity(self.rep.len());
+        while done != self.full() {
+            let (c, _, next) = self
+                .moves(done)
+                .find(|&(_, step, next)| step <= optimum && self.best(next, &mut memo) <= optimum)
+                .expect("an optimal completion exists from every step taken");
+            order.extend(bits(next & !done & !(1 << c)));
+            order.push(c);
+            done = next;
+        }
+        order
+    }
 }
 
 #[cfg(test)]
@@ -641,17 +816,23 @@ mod tests {
 
     #[test]
     fn peak_live_tables_is_small() {
-        for named in NamedTemplate::all() {
-            let t = named.template();
-            let pt = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
-            // The paper reports <= 4 under its hand-tuned ordering; our
-            // post-order hits 5 on the bushiest template (U12-2).
-            assert!(
-                pt.peak_live_tables() <= 5,
-                "{}: peak {} tables",
-                named.name(),
-                pt.peak_live_tables()
-            );
+        // The paper reports <= 4 live tables under its ordering; the
+        // min-peak order meets that under one-at-a-time. Balanced trees
+        // are bushier and may hold one more.
+        for (strategy, bound) in [
+            (PartitionStrategy::OneAtATime, 4),
+            (PartitionStrategy::Balanced, 5),
+        ] {
+            for named in NamedTemplate::all() {
+                let t = named.template();
+                let pt = PartitionTree::build(&t, strategy).unwrap();
+                assert!(
+                    pt.peak_live_tables() <= bound,
+                    "{} {strategy:?}: peak {} tables",
+                    named.name(),
+                    pt.peak_live_tables()
+                );
+            }
         }
     }
 
@@ -691,5 +872,213 @@ mod tests {
         let b = PartitionTree::build(&t, PartitionStrategy::OneAtATime).unwrap();
         assert_eq!(a.nodes().len(), b.nodes().len());
         assert_eq!(a.unique_order(), b.unique_order());
+    }
+
+    /// The order the partition tree was evaluated in before the min-peak
+    /// scheduler: an active-then-passive post-order, one node per class.
+    /// Frozen here as the reference the scheduler must never lose to and
+    /// must reproduce wherever it cannot do better.
+    fn post_order_walk(pt: &PartitionTree) -> Vec<u32> {
+        fn visit(nodes: &[SubNode], idx: u32, emitted: &mut [bool], order: &mut Vec<u32>) {
+            let node = &nodes[idx as usize];
+            if emitted[node.canon_id as usize] {
+                return;
+            }
+            if let NodeKind::Cut { active, passive } = node.kind {
+                visit(nodes, active, emitted, order);
+                visit(nodes, passive, emitted, order);
+            }
+            if !emitted[node.canon_id as usize] {
+                emitted[node.canon_id as usize] = true;
+                order.push(idx);
+            }
+        }
+        let mut emitted = vec![false; pt.num_canon_classes()];
+        let mut order = Vec::new();
+        visit(pt.nodes(), 0, &mut emitted, &mut order);
+        order
+    }
+
+    /// `C(k, h)`-weighted peak of live tables when `order` is evaluated
+    /// the way the engine does: a table is allocated while its children
+    /// are live and they are freed after their last consumer is built.
+    fn modelled_peak(pt: &PartitionTree, order: &[u32]) -> u64 {
+        let k = pt.root().size as usize;
+        let weight = |idx: u32| fascia_combin_choose(k, pt.nodes()[idx as usize].size as usize);
+        let class = |idx: u32| pt.nodes()[idx as usize].canon_id as usize;
+        let mut uses = vec![0u32; pt.num_canon_classes()];
+        uses[class(0)] += 1;
+        for &idx in order {
+            if let NodeKind::Cut { active, passive } = pt.nodes()[idx as usize].kind {
+                uses[class(active)] += 1;
+                uses[class(passive)] += 1;
+            }
+        }
+        let mut held = vec![0u64; pt.num_canon_classes()];
+        let (mut live, mut peak) = (0u64, 0u64);
+        for &idx in order {
+            held[class(idx)] = weight(idx);
+            live += weight(idx);
+            peak = peak.max(live);
+            if let NodeKind::Cut { active, passive } = pt.nodes()[idx as usize].kind {
+                for child in [active, passive] {
+                    uses[class(child)] -= 1;
+                    if uses[class(child)] == 0 {
+                        live -= std::mem::take(&mut held[class(child)]);
+                    }
+                }
+            }
+        }
+        peak
+    }
+
+    /// Minimum of [`modelled_peak`] over every children-first order of
+    /// the classes `reps` represent, by exhaustive enumeration (pruned
+    /// only by the best complete order found so far).
+    fn brute_force_min_peak(pt: &PartitionTree, reps: &[u32]) -> u64 {
+        fn go(pt: &PartitionTree, reps: &[u32], order: &mut Vec<u32>, best: &mut u64) {
+            if order.len() == reps.len() {
+                *best = (*best).min(modelled_peak(pt, order));
+                return;
+            }
+            if modelled_peak(pt, order) >= *best {
+                return;
+            }
+            let class = |idx: u32| pt.nodes()[idx as usize].canon_id;
+            let built = |order: &[u32], c: u32| order.iter().any(|&i| class(i) == c);
+            for &idx in reps {
+                if built(order, class(idx)) {
+                    continue;
+                }
+                if let NodeKind::Cut { active, passive } = pt.nodes()[idx as usize].kind {
+                    if !built(order, class(active)) || !built(order, class(passive)) {
+                        continue;
+                    }
+                }
+                order.push(idx);
+                go(pt, reps, order, best);
+                order.pop();
+            }
+        }
+        let mut best = u64::MAX;
+        go(pt, reps, &mut Vec::new(), &mut best);
+        best
+    }
+
+    #[test]
+    fn min_peak_order_is_optimal_on_all_small_trees() {
+        let mut checked = 0;
+        for n in 1..=9 {
+            for t in crate::gen::all_free_trees(n) {
+                for strategy in [PartitionStrategy::OneAtATime, PartitionStrategy::Balanced] {
+                    for root in 0..n as u8 {
+                        let Ok(pt) = PartitionTree::build_with_root(&t, root, strategy) else {
+                            continue;
+                        };
+                        check_invariants(&t, &pt);
+                        let walk = post_order_walk(&pt);
+                        let order = pt.unique_order();
+                        let mut reps = order.to_vec();
+                        reps.sort_unstable();
+                        let mut walk_reps = walk.clone();
+                        walk_reps.sort_unstable();
+                        assert_eq!(reps, walk_reps, "same representatives");
+                        let peak = modelled_peak(&pt, order);
+                        let walk_peak = modelled_peak(&pt, &walk);
+                        let ctx = format!("n={n} root={root} {strategy:?} {:?}", t.edges());
+                        assert_eq!(peak, brute_force_min_peak(&pt, &walk), "{ctx}");
+                        assert!(peak <= walk_peak, "{ctx}");
+                        if peak == walk_peak {
+                            assert_eq!(order, &walk[..], "ties keep the walk: {ctx}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} trees checked");
+    }
+
+    #[test]
+    fn among_named_templates_only_u12_2_changes_order() {
+        for named in NamedTemplate::all() {
+            let t = named.template();
+            for strategy in [PartitionStrategy::OneAtATime, PartitionStrategy::Balanced] {
+                for root in 0..t.size() as u8 {
+                    let Ok(pt) = PartitionTree::build_with_root(&t, root, strategy) else {
+                        continue;
+                    };
+                    let walk = post_order_walk(&pt);
+                    assert!(modelled_peak(&pt, pt.unique_order()) <= modelled_peak(&pt, &walk));
+                    if named != NamedTemplate::U12_2 {
+                        assert_eq!(pt.unique_order(), &walk[..], "{} root {root}", named.name());
+                    }
+                }
+            }
+        }
+        // The walk holds the size-4 class while the size-6 and size-7
+        // classes are built; the min-peak order holds the shared size-3
+        // class instead.
+        let pt = PartitionTree::build(
+            &NamedTemplate::U12_2.template(),
+            PartitionStrategy::OneAtATime,
+        )
+        .unwrap();
+        let c = |h| fascia_combin_choose(12, h);
+        let walk_peak = modelled_peak(&pt, &post_order_walk(&pt));
+        assert_eq!(walk_peak, c(1) + c(4) + c(6) + c(7));
+        assert_eq!(
+            modelled_peak(&pt, pt.unique_order()),
+            c(1) + c(3) + c(6) + c(7)
+        );
+    }
+
+    #[test]
+    fn build_stays_fast_on_size_20_trees() {
+        // Random parent arrays (a fixed LCG) give size-20 trees of every
+        // shape from paths to bushes; labeled and unshared variants have
+        // the most classes and so the largest downset search.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) as usize) % bound
+        };
+        let mut trees = vec![Template::path(20), Template::star(20)];
+        for _ in 0..40 {
+            let parents: Vec<u8> = (1..20).map(|v| next(v) as u8).collect();
+            trees.push(Template::from_parents(&parents).unwrap());
+        }
+        let distinct: Vec<u8> = (0..20).collect();
+        let labeled: Vec<Template> = trees
+            .iter()
+            .take(10)
+            .map(|t| t.clone().with_labels(distinct.clone()).unwrap())
+            .collect();
+        trees.extend(labeled);
+        // Release builds take under a millisecond; debug ones about ten
+        // times that.
+        let bound = std::time::Duration::from_millis(if cfg!(debug_assertions) { 25 } else { 5 });
+        for t in &trees {
+            for strategy in [PartitionStrategy::OneAtATime, PartitionStrategy::Balanced] {
+                let start = std::time::Instant::now();
+                let pt = PartitionTree::build(t, strategy).unwrap();
+                let built = start.elapsed();
+                let start = std::time::Instant::now();
+                let unshared = pt.clone().into_unshared();
+                let rescheduled = start.elapsed();
+                assert!(
+                    built.max(rescheduled) < bound,
+                    "{built:?} / {rescheduled:?} on {:?}",
+                    t.edges()
+                );
+                check_invariants(t, &pt);
+                check_invariants(t, &unshared);
+                let walk_peak = modelled_peak(&pt, &post_order_walk(&pt));
+                assert!(modelled_peak(&pt, pt.unique_order()) <= walk_peak);
+                assert_eq!(unshared.unique_order().len(), unshared.nodes().len());
+            }
+        }
     }
 }

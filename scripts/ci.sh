@@ -84,6 +84,17 @@ mkdir -p results/perf
 ./target/release/perf compare scripts/perf_baseline.json results/perf/smoke.json \
   --threshold 2.0
 
+# Peak-table-memory gate: table bytes are deterministic, so unlike the
+# 1-rep time smoke above this bound does not drift with the host. U12-2
+# on the Portland stand-in peaks at 505.7 MB in min-peak evaluation order;
+# the active-then-passive post-order it replaced peaked at 578.0 MB.
+echo "=== peak table memory gate ==="
+cargo build --release -q -p fascia-cli --offline
+PEAK=$(FASCIA_SCALE=64 ./target/release/fascia count portland U12-2 --table improved \
+  --iters 1 --parallel serial | sed -n 's/^peak table bytes: //p')
+echo "portland U12-2 improved: peak table bytes $PEAK (bound 520000000)"
+[ "$PEAK" -le 520000000 ]
+
 # Memory-observability gate: a tiny counting run under --mem-stats must
 # emit a fascia-mem/1 document (its own stdout line AND the --mem-out
 # file), and `fascia report` must render the run directory to both the

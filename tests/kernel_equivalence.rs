@@ -249,6 +249,8 @@ fn kernels_agree_under_memory_budgets_with_triangles() {
 /// Peak table bytes of serial runs per layout: what each layout
 /// allocates for cut, triangle and (naive layout) single-vertex tables.
 /// The labeled run skips the single-vertex rows of unmatched vertices.
+/// U12-2 is the named template whose min-peak evaluation order differs
+/// from the active-then-passive post-order, so it pins that order's peak.
 #[test]
 fn peak_table_bytes_match_golden() {
     let g = fascia::graph::gen::gnm(200, 700, 29);
@@ -258,6 +260,7 @@ fn peak_table_bytes_match_golden() {
         ("P4", Template::path(4)),
         ("U5-2", NamedTemplate::U5_2.template()),
         ("tri+1", tri1.clone()),
+        ("U12-2", NamedTemplate::U12_2.template()),
     ];
     let cfg = |table| CountConfig {
         iterations: 3,
