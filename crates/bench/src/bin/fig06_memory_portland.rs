@@ -57,13 +57,14 @@ fn main() {
         report.push("naive", named.name(), naive as f64);
         report.push("improved", named.name(), improved as f64);
         report.push("labeled", named.name(), labeled as f64);
+        let mib = |bytes: u64| bytes as f64 / (1u64 << 20) as f64;
         eprintln!(
-            "[fig06] {}: naive {} MB, improved {} MB ({:.1}% saved), labeled {} MB ({:.1}% saved)",
+            "[fig06] {}: naive {:.2} MiB, improved {:.2} MiB ({:.1}% saved), labeled {:.2} MiB ({:.1}% saved)",
             named.name(),
-            naive >> 20,
-            improved >> 20,
+            mib(naive),
+            mib(improved),
             100.0 * (1.0 - improved as f64 / naive as f64),
-            labeled >> 20,
+            mib(labeled),
             100.0 * (1.0 - labeled as f64 / naive as f64),
         );
     }

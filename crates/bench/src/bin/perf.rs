@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `run` writes a `fascia-perf/1` document (default
-//! `BENCH_<ISO-date>.json` in the current directory) via `atomic_write`.
+//! `BENCH_<ISO-date>.json` in the current directory) via `atomic_write`;
+//! a `--filter` that selects no benchmark is a usage error.
 //! `compare` prints a per-benchmark table and exits non-zero when any
 //! benchmark regressed — the contract `scripts/ci.sh` gates on.
 //!
@@ -91,6 +92,11 @@ fn cmd_run(args: &[String]) -> u8 {
         eprintln!("perf run: --reps must be at least 1");
         return EXIT_USAGE;
     }
+    if opts.selected().is_empty() {
+        let filter = opts.filter.as_deref().unwrap_or_default();
+        eprintln!("perf run: --filter {filter:?} selects no benchmark");
+        return EXIT_USAGE;
+    }
     if let Ok(ms) = std::env::var("FASCIA_PERF_SLEEP_MS") {
         match ms.parse::<u64>() {
             Ok(ms) => opts.handicap = Some(Duration::from_millis(ms)),
@@ -144,7 +150,7 @@ fn cmd_compare(args: &[String]) -> u8 {
         eprintln!("perf compare: need exactly OLD and NEW paths\n{USAGE}");
         return EXIT_USAGE;
     };
-    if !(0.0..1.0).contains(&alpha) {
+    if !(alpha > 0.0 && alpha < 1.0) {
         eprintln!("perf compare: --alpha must be in (0, 1)");
         return EXIT_USAGE;
     }

@@ -10,11 +10,13 @@
 //! ([`mann_whitney`]), so `scripts/ci.sh` can fail on *significant*
 //! slowdowns while shrugging off scheduler noise.
 //!
-//! The criterion-shim benches append single-benchmark documents in the
-//! same schema (one JSON object per line, see `FASCIA_PERF_APPEND` in the
-//! shim); [`PerfDoc::parse`] accepts both a whole document and such a
-//! JSON-lines stream, so every timing source in the repo speaks one
-//! format.
+//! The suite covers the engine (U5-2 counts across parallel modes, table
+//! layouts and two graph scales) and the resident counting service (a
+//! clean and a chaos job batch). [`run_suite`] is the only producer of
+//! these documents. [`PerfDoc::parse`] also reads JSON-lines streams of
+//! documents merged benchmark-by-benchmark, the form of the archived
+//! `BENCH_2026-08-08.json` (a suite document followed by a service-batch
+//! line).
 //!
 //! # Schema (`fascia-perf/1`, additive-only like `fascia-obs/1`)
 //!
@@ -52,6 +54,8 @@ use fascia_core::resilience::Json;
 use fascia_graph::gen::gnm;
 use fascia_graph::Graph;
 use fascia_obs::json::{array_of, write_f64, ObjectWriter};
+use fascia_svc::supervisor::SupervisorConfig;
+use fascia_svc::{BackoffPolicy, JobSpec, MonotonicClock, Service, ServiceConfig};
 use fascia_table::TableKind;
 use fascia_template::{NamedTemplate, Template};
 use std::collections::BTreeMap;
@@ -279,7 +283,7 @@ impl PerfRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfDoc {
     /// Wall-clock creation time (ms since the Unix epoch); 0 when the
-    /// producer had no clock worth trusting (e.g. merged shim lines).
+    /// document did not record one.
     pub created_unix_ms: u64,
     /// Worker threads available to the producing run.
     pub threads: u64,
@@ -333,8 +337,9 @@ impl PerfDoc {
         o.finish()
     }
 
-    /// Parses a document, or a JSON-lines stream of documents (the
-    /// criterion-shim append format) merged benchmark-by-benchmark.
+    /// Parses a document, or a JSON-lines stream of documents (as in the
+    /// archived `BENCH_*.json` files) merged benchmark-by-benchmark; a
+    /// later line's provenance fields win when present.
     /// Rejects unknown schemas and malformed records with a message
     /// naming the offending line.
     pub fn parse(text: &str) -> Result<Self, String> {
@@ -688,22 +693,53 @@ impl Scale {
     }
 }
 
+/// What one suite cell times per repetition.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload {
+    /// One U5-2 count on `scale`'s pinned graph.
+    Count {
+        /// Threading scheme under test.
+        mode: ParallelMode,
+        /// Table layout under test.
+        table: TableKind,
+        /// Graph scale.
+        scale: Scale,
+    },
+    /// One batch of 32 jobs (8 iterations of `path4` on `circuit` each)
+    /// through the resident counting service (spool submit → supervised
+    /// run → durable result), clean or under a fixed chaos schedule. The
+    /// rep times the drain only; every job must reach a terminal result.
+    Service {
+        /// Run the batch under the chaos schedule.
+        chaos: bool,
+    },
+}
+
 /// One pinned workload of the suite.
 #[derive(Debug, Clone)]
 pub struct BenchSpec {
-    /// Stable id: `count/<mode>/<table>/<scale>`.
+    /// Stable id: `count/<mode>/<table>/<scale>` or
+    /// `svc_throughput/{clean,chaos}`.
     pub id: String,
-    /// Threading scheme under test.
-    pub mode: ParallelMode,
-    /// Table layout under test.
-    pub table: TableKind,
-    /// Graph scale.
-    pub scale: Scale,
+    /// What each repetition runs.
+    pub workload: Workload,
 }
+
+/// Jobs per service batch, each counting `SVC_ITERS` iterations of
+/// `path4` on the `circuit` network.
+const SVC_JOBS: usize = 32;
+
+/// Counting iterations per service job.
+const SVC_ITERS: usize = 8;
+
+/// Chaos schedule of the `svc_throughput/chaos` cell: worker panics and
+/// checkpoint/result I/O faults, so the retry path's cost is measured.
+const SVC_CHAOS: &str = "seed=9,panic=0.05,io_ckpt=0.1,io_result=0.05";
 
 /// The pinned suite: serial/inner/outer × dense(naive)/lazy(improved)/
 /// hashed × two graph scales, all counting the paper's U5-2 template with
-/// fixed seeds. `smoke` restricts to serial × small — the cheap tier
+/// fixed seeds, plus a clean and a chaos batch through the counting
+/// service. `smoke` restricts to serial × small counts — the cheap tier
 /// `scripts/ci.sh` gates on.
 pub fn default_suite(smoke: bool) -> Vec<BenchSpec> {
     let modes: &[ParallelMode] = if smoke {
@@ -726,11 +762,17 @@ pub fn default_suite(smoke: bool) -> Vec<BenchSpec> {
             for table in TableKind::all() {
                 out.push(BenchSpec {
                     id: format!("count/{}/{}/{}", mode.name(), table.name(), scale.name()),
-                    mode,
-                    table,
-                    scale,
+                    workload: Workload::Count { mode, table, scale },
                 });
             }
+        }
+    }
+    if !smoke {
+        for (tag, chaos) in [("clean", false), ("chaos", true)] {
+            out.push(BenchSpec {
+                id: format!("svc_throughput/{tag}"),
+                workload: Workload::Service { chaos },
+            });
         }
     }
     out
@@ -749,9 +791,10 @@ pub struct SuiteOpts {
     pub smoke: bool,
     /// Substring filter on benchmark ids.
     pub filter: Option<String>,
-    /// Synthetic slowdown injected into every DP step as a chaos stall
-    /// that always fires — exists to prove the compare gate catches a
-    /// real regression (`FASCIA_PERF_SLEEP_MS` in the binary).
+    /// Synthetic slowdown injected into every DP step of the count cells
+    /// as a chaos stall that always fires — exists to prove the compare
+    /// gate catches a real regression (`FASCIA_PERF_SLEEP_MS` in the
+    /// binary).
     pub handicap: Option<Duration>,
     /// Per-benchmark progress lines on stderr.
     pub verbose: bool,
@@ -770,61 +813,79 @@ impl Default for SuiteOpts {
     }
 }
 
-/// Executes the pinned suite and returns its perf document. Workloads
-/// use fixed seeds throughout, so two runs on one machine differ only by
-/// scheduler noise — exactly what the Mann–Whitney gate is calibrated
-/// for.
+impl SuiteOpts {
+    /// The cells of [`default_suite`] that these options run.
+    pub fn selected(&self) -> Vec<BenchSpec> {
+        let mut suite = default_suite(self.smoke);
+        if let Some(f) = &self.filter {
+            suite.retain(|spec| spec.id.contains(f.as_str()));
+        }
+        suite
+    }
+}
+
+/// Executes the selected cells of the pinned suite and returns their perf
+/// document. Workloads use fixed seeds throughout, so two runs on one
+/// machine differ only by scheduler noise — exactly what the Mann–Whitney
+/// gate is calibrated for.
 pub fn run_suite(opts: &SuiteOpts) -> PerfDoc {
     let template: Template = NamedTemplate::U5_2.template();
     let mut doc = PerfDoc::new_now();
     let mut graphs: Vec<(Scale, Graph)> = Vec::new();
-    for spec in default_suite(opts.smoke) {
-        if let Some(f) = &opts.filter {
-            if !spec.id.contains(f.as_str()) {
-                continue;
+    for spec in opts.selected() {
+        // One timed repetition: (seconds, peak live table bytes).
+        let mut rep: Box<dyn FnMut() -> (f64, u64)> = match spec.workload {
+            Workload::Count { mode, table, scale } => {
+                let g = match graphs.iter().find(|(s, _)| *s == scale) {
+                    Some((_, g)) => g,
+                    None => {
+                        graphs.push((scale, scale.graph()));
+                        &graphs.last().expect("graph just pushed").1
+                    }
+                };
+                let cfg = CountConfig {
+                    iterations: scale.iterations(),
+                    table,
+                    parallel: mode,
+                    seed: 0x00FA_5C1A,
+                    ..CountConfig::default()
+                };
+                let template = &template;
+                let handicap = opts.handicap;
+                Box::new(move || {
+                    let start = Instant::now();
+                    // A fresh schedule per call keeps the stall event log
+                    // bounded.
+                    let chaos = handicap.map(|stall| {
+                        Arc::new(Chaos::new(ChaosSpec {
+                            stall_prob: 1.0,
+                            stall,
+                            ..ChaosSpec::default()
+                        }))
+                    });
+                    let cfg = CountConfig {
+                        chaos,
+                        ..cfg.clone()
+                    };
+                    let r = count_template(g, template, &cfg).expect("suite workload must count");
+                    let secs = start.elapsed().as_secs_f64();
+                    // Keep the estimate alive so the count cannot be optimized out.
+                    assert!(r.estimate.is_finite());
+                    (secs, r.peak_table_bytes as u64)
+                })
             }
-        }
-        let g = match graphs.iter().find(|(s, _)| *s == spec.scale) {
-            Some((_, g)) => g,
-            None => {
-                graphs.push((spec.scale, spec.scale.graph()));
-                &graphs.last().unwrap().1
+            Workload::Service { chaos } => {
+                Box::new(move || (service_batch(chaos).as_secs_f64(), 0))
             }
-        };
-        let cfg = CountConfig {
-            iterations: spec.scale.iterations(),
-            table: spec.table,
-            parallel: spec.mode,
-            seed: 0x00FA_5C1A,
-            ..CountConfig::default()
-        };
-        // A fresh schedule per call keeps the stall event log bounded.
-        let count = || {
-            let chaos = opts.handicap.map(|stall| {
-                Arc::new(Chaos::new(ChaosSpec {
-                    stall_prob: 1.0,
-                    stall,
-                    ..ChaosSpec::default()
-                }))
-            });
-            let cfg = CountConfig {
-                chaos,
-                ..cfg.clone()
-            };
-            count_template(g, &template, &cfg).expect("suite workload must count")
         };
         for _ in 0..opts.warmup {
-            let _ = count();
+            let _ = rep();
         }
         let mut reps_s = Vec::with_capacity(opts.reps.max(1));
         let mut peak_table_bytes = 0u64;
         for _ in 0..opts.reps.max(1) {
-            let start = Instant::now();
-            let r = count();
-            let secs = start.elapsed().as_secs_f64();
-            // Keep the estimate alive so the count cannot be optimized out.
-            assert!(r.estimate.is_finite());
-            peak_table_bytes = peak_table_bytes.max(r.peak_table_bytes as u64);
+            let (secs, peak) = rep();
+            peak_table_bytes = peak_table_bytes.max(peak);
             reps_s.push(secs);
         }
         if opts.verbose {
@@ -846,6 +907,50 @@ pub fn run_suite(opts: &SuiteOpts) -> PerfDoc {
         );
     }
     doc
+}
+
+/// Runs one [`Workload::Service`] batch in a fresh spool under the
+/// system temp directory and returns the wall time of the drain.
+fn service_batch(chaos: bool) -> Duration {
+    let tag = if chaos { "chaos" } else { "clean" };
+    let root = std::env::temp_dir().join(format!("fascia-svc-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let chaos = chaos.then(|| SVC_CHAOS.parse::<ChaosSpec>().expect("SVC_CHAOS parses"));
+    let svc = Service::open(
+        &root,
+        ServiceConfig {
+            supervisor: SupervisorConfig {
+                backoff: BackoffPolicy {
+                    base: Duration::from_millis(2),
+                    cap: Duration::from_millis(20),
+                    ..BackoffPolicy::default()
+                },
+                poll: Duration::from_millis(2),
+                ..SupervisorConfig::default()
+            },
+            once: true,
+            chaos,
+        },
+    )
+    .expect("service cell: cannot open spool");
+    for i in 0..SVC_JOBS {
+        let mut spec = JobSpec::new(&format!("bench-{i:04}"), "circuit", "path4");
+        spec.iterations = SVC_ITERS;
+        spec.seed = 0xBE7C_u64 + i as u64;
+        svc.spool()
+            .submit(&spec.id, &spec.to_json())
+            .expect("service cell: submit");
+    }
+    let start = Instant::now();
+    let summary = svc.run(&MonotonicClock, None);
+    let elapsed = start.elapsed();
+    let terminal = summary.completed + summary.partial + summary.failed;
+    assert_eq!(
+        terminal, SVC_JOBS,
+        "{tag} batch: {terminal} terminal results for {SVC_JOBS} jobs"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+    elapsed
 }
 
 #[cfg(test)]

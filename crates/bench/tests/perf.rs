@@ -5,8 +5,8 @@
 //! the injected-regression check the gate exists for.
 
 use fascia_bench::perf::{
-    any_regression, compare, mad, mann_whitney, median, render_comparisons, run_suite, PerfDoc,
-    PerfRecord, SuiteOpts, Verdict, DEFAULT_THRESHOLD,
+    any_regression, compare, default_suite, mad, mann_whitney, median, render_comparisons,
+    run_suite, PerfDoc, PerfRecord, SuiteOpts, Verdict, DEFAULT_THRESHOLD,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -121,9 +121,10 @@ fn document_round_trips_through_json() {
 
 #[test]
 fn parse_merges_jsonl_streams_and_defaults_missing_fields() {
-    // A full document followed by two criterion-shim style lines (no
-    // created/threads/threshold): the shim records pick up the default
-    // threshold, and later lines win on benchmark-name collisions.
+    // A full document followed by two appended lines that carry no
+    // created/threads/threshold (as older archive appends did): those
+    // records pick up the default threshold, and later lines win on
+    // benchmark-name collisions.
     let text = format!(
         "{}\n{}\n{}\n",
         sample_doc().to_json(),
@@ -139,7 +140,8 @@ fn parse_merges_jsonl_streams_and_defaults_missing_fields() {
     assert_eq!(shim.reps_s, vec![0.001, 0.002]);
     // Pre-memory-axis producers parse with the additive default.
     assert_eq!(shim.peak_table_bytes, 0);
-    // Shim lines carry no provenance; the full document's survives the merge.
+    // The appended lines carry no provenance; the full document's survives
+    // the merge.
     assert_eq!(doc.cpu_model.as_deref(), Some("Example CPU @ 3.00GHz"));
     assert_eq!(doc.git_sha.as_deref(), Some("0123456789abcdef"));
     // The later line replaced the earlier record wholesale.
@@ -179,6 +181,60 @@ fn serialization_matches_golden_file() {
         "fascia-perf/1 serialization drifted from the golden file; \
          if intentional, re-bless with BLESS=1"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The checked-in archives
+// ---------------------------------------------------------------------------
+
+fn repo_file(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The archives `perf compare` is pointed at must keep parsing: the
+/// 08-08 archive is a two-line JSON-lines stream (the suite document plus
+/// an appended service-batch line), and both BENCH files must diff
+/// against each other row for row.
+#[test]
+fn checked_in_archives_parse_and_compare() {
+    let parse =
+        |name: &str| PerfDoc::parse(&repo_file(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let aug06 = parse("BENCH_2026-08-06.json");
+    let aug08 = parse("BENCH_2026-08-08.json");
+    let baseline = parse("scripts/perf_baseline.json");
+    assert!(!baseline.benchmarks.is_empty());
+    let count_ids = |doc: &PerfDoc| {
+        doc.benchmarks
+            .keys()
+            .filter(|id| id.starts_with("count/"))
+            .count()
+    };
+    assert_eq!(count_ids(&aug06), 18);
+    assert_eq!(count_ids(&aug08), 18);
+    for id in ["svc_throughput/clean", "svc_throughput/chaos"] {
+        assert!(
+            aug08.benchmarks.contains_key(id),
+            "08-08 archive lacks {id}"
+        );
+    }
+    assert_eq!(aug08.benchmarks.len(), 20);
+    // Every cell of today's full suite lines up with an archived record.
+    for spec in default_suite(false) {
+        assert!(aug08.benchmarks.contains_key(&spec.id), "{}", spec.id);
+    }
+    let rows = compare(&aug06, &aug08, None, 0.01);
+    let mut ids: Vec<&String> = aug06
+        .benchmarks
+        .keys()
+        .chain(aug08.benchmarks.keys())
+        .collect();
+    ids.sort();
+    ids.dedup();
+    let row_ids: Vec<&String> = rows.iter().map(|r| &r.name).collect();
+    assert_eq!(row_ids, ids);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,4 +423,62 @@ fn injected_sleep_is_flagged_as_regression() {
     );
     assert!(rows[0].ratio > DEFAULT_THRESHOLD);
     assert!(rows[0].p_greater.unwrap() < 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// The perf binary's usage errors and exit codes
+// ---------------------------------------------------------------------------
+
+fn perf_bin(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_perf"))
+        .args(args)
+        .output()
+        .expect("perf binary runs")
+}
+
+/// `--alpha 0` would make the significance test unpassable and so turn
+/// the gate off; it must be a usage error (2), while a valid alpha on a
+/// regressed pair exits 1. A `--filter` that selects no benchmark must
+/// also be a usage error rather than an empty document.
+#[test]
+fn perf_binary_rejects_gate_disabling_and_empty_selections() {
+    let dir = std::env::temp_dir().join(format!("fascia-perf-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let old_path = dir.join("old.json");
+    let new_path = dir.join("new.json");
+    let slow: Vec<f64> = OLD_REPS.iter().map(|x| x * 2.5).collect();
+    std::fs::write(&old_path, doc_of(&[("a", &OLD_REPS)]).to_json()).unwrap();
+    std::fs::write(&new_path, doc_of(&[("a", &slow)]).to_json()).unwrap();
+    let (old, new) = (old_path.to_str().unwrap(), new_path.to_str().unwrap());
+
+    let code = |out: &std::process::Output| out.status.code();
+    assert_eq!(
+        code(&perf_bin(&["compare", old, new, "--alpha", "0"])),
+        Some(2)
+    );
+    assert_eq!(
+        code(&perf_bin(&["compare", old, new, "--alpha", "-0.5"])),
+        Some(2)
+    );
+    assert_eq!(
+        code(&perf_bin(&["compare", old, new, "--alpha", "0.05"])),
+        Some(1)
+    );
+
+    let empty = dir.join("empty.json");
+    let out = perf_bin(&[
+        "run",
+        "--filter",
+        "no-such-cell",
+        "--quiet",
+        "--out",
+        empty.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("no-such-cell"),
+        "message must name the filter"
+    );
+    assert!(!empty.exists(), "no document may be written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -84,6 +84,17 @@ mkdir -p results/perf
 ./target/release/perf compare scripts/perf_baseline.json results/perf/smoke.json \
   --threshold 2.0
 
+# Service-batch cells: one clean and one chaos batch of jobs through the
+# resident counting service, one rep each. This is their only CI run; the
+# gate is that both cells complete and land in the document. The chaos
+# batch's injected worker panics print to stderr, so it goes to a log.
+echo "=== perf service-batch cells ==="
+./target/release/perf run --filter svc_throughput --reps 1 --warmup 0 --quiet \
+  --out results/perf/svc.json 2> results/perf/svc.log \
+  || { tail -20 results/perf/svc.log; exit 1; }
+grep -q '"svc_throughput/clean"' results/perf/svc.json
+grep -q '"svc_throughput/chaos"' results/perf/svc.json
+
 # Peak-table-memory gate: table bytes are deterministic, so unlike the
 # 1-rep time smoke above this bound does not drift with the host. U12-2
 # on the Portland stand-in peaks at 505.7 MB in min-peak evaluation order;

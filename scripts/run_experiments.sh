@@ -60,27 +60,17 @@ for run in "${METRIC_RUNS[@]}"; do
   fi
 done
 
-# Machine-readable perf documents (fascia-perf/1) under results/perf/:
-# the pinned suite via the perf runner, plus the criterion benches
-# appending their raw samples to a JSON-lines stream through
-# FASCIA_PERF_APPEND. Either archive diffs against any other with
-# `perf compare`.
+# Machine-readable perf document (fascia-perf/1) under results/perf/:
+# the pinned suite via the perf runner, engine count cells and the
+# service-batch cells (svc_throughput/clean, svc_throughput/chaos). It
+# diffs against any archive with `perf compare`.
 mkdir -p results/perf
 echo "=== perf suite ==="
 if cargo run --release -q -p fascia-bench --bin perf -- run \
     --out "results/perf/BENCH_$(date -u +%F).json" 2> results/perf/perf.log; then
-  tail -3 results/perf/perf.log
+  grep '^\[perf\]' results/perf/perf.log | tail -3
 else
   echo "FAILED: see results/perf/perf.log"
-fi
-echo "=== criterion benches (perf records) ==="
-rm -f results/perf/criterion.jsonl
-if FASCIA_PERF_APPEND="$PWD/results/perf/criterion.jsonl" \
-    cargo bench -q -p fascia-bench --offline \
-    > results/perf/criterion.txt 2> results/perf/criterion.log; then
-  wc -l < results/perf/criterion.jsonl | xargs echo "  criterion perf records:"
-else
-  echo "FAILED: see results/perf/criterion.log"
 fi
 
 # Memory observability (fascia-mem/1) under results/mem/: representative
